@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import recovery
 from .affine import enumerate_group, pi_matrix
@@ -442,66 +441,20 @@ def phase_propagation_stitch(patches, n: int, tol: float = 1e-8) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # phase retrieval for 3-fold transitive permutation actions
 
-#: accepted local-solver residual, relative to the squared-measurement norm
-LOCAL_RESIDUAL_RTOL = 1e-9
-LOCAL_SOLVER_STARTS = 8
-
-
-def _local_zero_sum_basis() -> np.ndarray:
-    e1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
-    e2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6)
-    return np.stack([e1, e2], axis=1)  # 3 x 2
-
-
-def _solve_patch(support, frame_vecs, mags, seed: int) -> np.ndarray:
-    """Fit u in the zero-sum space on the 3-point support so that
-    |<u, w_h>| matches the measured magnitudes, via multistart Gauss-Newton."""
-    y2 = mags**2
-    scale = float(np.linalg.norm(y2))
-    if scale == 0.0:
-        return np.zeros(3, dtype=complex)
-    E = _local_zero_sum_basis()
-    W = np.asarray(frame_vecs)  # rows w_h on the support
-
-    def unpack(t):
-        return E @ (t[:2] + 1j * t[2:])
-
-    def residuals(t):
-        u = unpack(t)
-        return np.abs(W.conj() @ u) ** 2 - y2
-
-    rng = np.random.default_rng(seed)
-    amp = np.sqrt(scale) / max(float(np.linalg.norm(W)), 1e-12) * np.sqrt(len(W))
-    best = None
-    for _ in range(LOCAL_SOLVER_STARTS):
-        t0 = rng.normal(scale=max(amp, 1e-12), size=4)
-        sol = least_squares(residuals, t0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        res = float(np.linalg.norm(sol.fun))
-        if best is None or res < best[0]:
-            best = (res, sol.x)
-        if res <= LOCAL_RESIDUAL_RTOL * scale:
-            break
-    res, t = best
-    if res > LOCAL_RESIDUAL_RTOL * scale:
-        raise InconsistentDataError(
-            f"local phase solve failed on patch {tuple(support)}: residual "
-            f"{res:.3e} exceeds {LOCAL_RESIDUAL_RTOL:.0e} * {scale:.3e}"
-        )
-    return unpack(t)
-
-
-def three_transitive_phase_retrieval(
-    measurements, perms, psi0=None, seed: int = 0
-) -> np.ndarray:
+def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarray:
     """Recover a zero-sum vector f (up to global phase) from the magnitudes
     |<f, Pi(h) psi>|, h in a 3-fold transitive permutation list, where psi is
     the trivial extension of a 3-point generator psi0 supported on {0,1,2}.
 
     psi0 must be zero-sum so that each measurement depends only on the local
-    zero-sum projection of f; the default is the p=3 time-side generator,
-    whose S(3)-orbit does phase retrieval on the local zero-sum space.  Each
-    3-element support is solved locally (multistart Gauss-Newton, residual
-    verified) and the patches are stitched by phase propagation.
+    zero-sum projection of f; the default is the p=3 time-side generator.
+    On a support A = h({0,1,2}), h acts through the local permutation
+    sigma(i) = position of h(i) in sorted A, which is the affine map
+    m -> k + l*m of Z_3 (S(3) = Aff(Z_3)).  The measurements on A are thus
+    the affine frame magnitudes at p=3, and each patch is solved by
+    :func:`recovery.recover_vector` on the Fourier side of psi0, which also
+    checks psi0 for admissibility and the data for rank one.  The patches are
+    stitched by phase propagation.
     """
     perms = [tuple(h) for h in perms]
     if not perms:
@@ -519,30 +472,32 @@ def three_transitive_phase_retrieval(
         raise ValueError("psi0 must be a vector on 3 points")
     if abs(psi0.sum()) > 1e-10 * np.linalg.norm(psi0):
         raise ValueError("psi0 must be zero-sum")
+    phi = dft(psi0)[1:]
 
-    # group measurements by the support h({0,1,2}); the frame vector on the
-    # support is (Pi(h) psi)|_A with entries psi0(h^-1(m))
-    by_support: dict[tuple[int, int, int], dict[tuple, list]] = {}
+    # group measurements by support and by the index (l-1)*3 + k of the
+    # affine map sigma(m) = k + l*m in the l-outer-k-inner order
+    by_support: dict[tuple[int, int, int], dict[int, list[float]]] = {}
     for h, mag in zip(perms, y):
-        support = tuple(sorted((h[0], h[1], h[2])))
-        hinv = _perm_inverse(h)
-        w = np.array([psi0[hinv[m]] for m in support])
-        key = tuple(np.round(w, 12))
-        by_support.setdefault(support, {}).setdefault(key, [w, []])[1].append(float(mag))
+        support = tuple(sorted(h[:3]))
+        k, s1 = support.index(h[0]), support.index(h[1])
+        index = ((s1 - k) % 3 - 1) * 3 + k
+        by_support.setdefault(support, {}).setdefault(index, []).append(float(mag))
 
     patches = []
-    for pi_idx, (support, groups) in enumerate(sorted(by_support.items())):
-        vecs, mags = [], []
-        for w, mlist in groups.values():
+    for support, groups in sorted(by_support.items()):
+        F = np.empty(6)  # 3-fold transitivity fills all six entries
+        for index, mlist in groups.items():
             spread = max(mlist) - min(mlist)
             if spread > 1e-8 * max(max(mlist), 1.0):
                 raise InconsistentDataError(
                     f"repeated measurements disagree on patch {support}"
                 )
-            vecs.append(w)
-            mags.append(float(np.mean(mlist)))
-        u = _solve_patch(support, np.array(vecs), np.array(mags), seed * 7919 + pi_idx)
-        patches.append(PatchData(support=support, values=u))
+            F[index] = np.mean(mlist) ** 2
+        try:
+            fhat = recovery.recover_vector(F, phi, 3)
+        except InconsistentDataError as exc:
+            raise InconsistentDataError(f"patch {support}: {exc}") from exc
+        patches.append(PatchData(support=support, values=idft(np.concatenate([[0.0], fhat]))))
 
     g = phase_propagation_stitch(patches, n, tol=1e-7)
     return canonical_phase(g)

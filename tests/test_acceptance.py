@@ -259,7 +259,7 @@ def test_criterion_09_three_transitive_pipeline():
                         if hinv[m] < 3:
                             psi[m] = psi0[hinv[m]]
                     meas.append(abs(np.vdot(psi, f)))
-                g = three_transitive_phase_retrieval(np.array(meas), perms, seed=trial)
+                g = three_transitive_phase_retrieval(np.array(meas), perms)
                 assert phase_distance(g, f) <= 1e-6, (n, trial)
 
 

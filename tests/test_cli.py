@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affinephase
 from affinephase.cli import main
 from affinephase.recovery import canonical_generator, frame_vectors, phase_distance
 
@@ -258,3 +263,10 @@ def test_byte_determinism(capsys):
     main(["gen-vector", "--p", "7", "--time-side"])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+def test_cli_import_pulls_in_no_scipy():
+    code = "import sys, affinephase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(affinephase.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

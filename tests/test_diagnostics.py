@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from affinephase.diagnostics import (
     verify_counterexample_n3,
     zero_sum_projection,
 )
-from affinephase.errors import InconsistentDataError
+from affinephase.errors import InadmissibleGeneratorError, InconsistentDataError
 from affinephase.harmonics import dft, idft
 from affinephase.recovery import canonical_phase, canonical_time_generator, phase_distance
 
@@ -201,12 +201,52 @@ def measurements_for(f, perms, psi0):
     return np.array(out)
 
 
+def pgl2_f5():
+    """PGL(2,5) acting on the projective line {0..4, inf}, inf labelled 5;
+    the action is sharply 3-transitive."""
+    inv = {1: 1, 2: 3, 3: 2, 4: 4}
+
+    def mobius(a, b, c, d, z):
+        if z == 5:
+            return 5 if c == 0 else a * inv[c] % 5
+        den = (c * z + d) % 5
+        return 5 if den == 0 else (a * z + b) * inv[den] % 5
+
+    return sorted(
+        {
+            tuple(mobius(a, b, c, d, z) for z in range(6))
+            for a, b, c, d in product(range(5), repeat=4)
+            if (a * d - b * c) % 5
+        }
+    )
+
+
 def test_three_transitive_retrieval_s4():
-    S4 = list(permutations(range(4)))
     psi0 = canonical_time_generator(3)
-    f = rand_zero_sum(4)
-    g = three_transitive_phase_retrieval(measurements_for(f, S4, psi0), S4)
-    assert phase_distance(g, f) < 1e-6
+    pgl = pgl2_f5()
+    assert len(pgl) == 120 and is_k_transitive(pgl, 3, 6)
+    for perms in (list(permutations(range(4))), pgl):
+        f = rand_zero_sum(len(perms[0]))
+        g = three_transitive_phase_retrieval(measurements_for(f, perms, psi0), perms)
+        assert phase_distance(g, f) < 1e-6
+
+
+def test_three_transitive_rejects_inadmissible_generator():
+    # |phi(1)| = |phi(2)| for phi = dft(psi0)[1:], so a character sum vanishes
+    S4 = list(permutations(range(4)))
+    psi0 = np.array([1.0, -1.0, 0.0])
+    meas = measurements_for(rand_zero_sum(4), S4, psi0)
+    with pytest.raises(InadmissibleGeneratorError, match="condition"):
+        three_transitive_phase_retrieval(meas, S4, psi0=psi0)
+
+
+def test_three_transitive_rejects_disagreeing_repeats():
+    S4 = list(permutations(range(4)))
+    meas = measurements_for(rand_zero_sum(4), S4, canonical_time_generator(3))
+    perms = S4 + [S4[5]]
+    meas = np.append(meas, meas[5] + 1e-3)
+    with pytest.raises(InconsistentDataError, match="repeated measurements disagree"):
+        three_transitive_phase_retrieval(meas, perms)
 
 
 def test_three_transitive_requires_transitivity():
