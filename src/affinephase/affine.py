@@ -16,11 +16,10 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .primefield import mod_inverse, validate_prime
+from .primefield import inverse_table, mod_inverse, validate_prime
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,10 @@ ENUMERATION_ORDER_TAG = "l-outer-k-inner"
 def pi_matrix(x: AffineElement) -> np.ndarray:
     """Permutation matrix of the quasiregular action on C^p."""
     p = x.p
-    linv = mod_inverse(x.l, p)
+    y = x.inverse()  # (pi(x) f)(m) = f(x^-1 m)
     M = np.zeros((p, p), dtype=complex)
     m = np.arange(p)
-    M[m, (linv * (m - x.k)) % p] = 1.0
+    M[m, (y.k + y.l * m) % p] = 1.0
     return M
 
 
@@ -95,12 +94,12 @@ def pi_hat0_matrix(x: AffineElement) -> np.ndarray:
     return M
 
 
-@lru_cache(maxsize=None)
-def pi_hat0_stack(p: int) -> np.ndarray:
-    """All pi_hat0 matrices stacked in canonical group order, shape (|G|, p-1, p-1)."""
-    stack = np.stack([pi_hat0_matrix(x) for x in enumerate_group(p)])
-    stack.setflags(write=False)
-    return stack
+def dilation_index(p: int) -> np.ndarray:
+    """Entry [l-1, m-1] is the array index (lm mod p) - 1, for l, m in {1..p-1};
+    pi_hat0(k,l) is nonzero exactly at the entries (m-1, [l-1, m-1])."""
+    validate_prime(p)
+    m = np.arange(1, p)
+    return np.outer(m, m) % p - 1
 
 
 def _check_square(A, p: int) -> np.ndarray:
@@ -140,32 +139,23 @@ def s_apply(A) -> np.ndarray:
 
     (SA)(m, 1) = A(-m, -m); (SA)(m, n) = A(m(1-n)^-1, mn(1-n)^-1) for n >= 2.
     """
-    A = np.asarray(A, dtype=complex)
-    p = A.shape[0] + 1
+    p = len(A) + 1
     A = _check_square(A, p)
-    out = np.empty_like(A)
-    for m in range(1, p):
-        out[m - 1, 0] = A[(-m) % p - 1, (-m) % p - 1]
-        for n in range(2, p):
-            inv = mod_inverse((1 - n) % p, p)
-            out[m - 1, n - 1] = A[(m * inv) % p - 1, (m * n * inv) % p - 1]
-    return out
+    m = np.arange(1, p)[:, None]
+    n = np.arange(1, p)[None, :]
+    rows = m * inverse_table(p)[(1 - n) % p]
+    rows[:, :1] = -m
+    return A[rows % p - 1, (rows * n) % p - 1]
 
 
 def s_inverse_apply(A) -> np.ndarray:
     """Inverse of S: (S*A)(m, m) = A(-m, 1); (S*A)(m, n) = A(m-n, m^-1 n) for m != n."""
-    A = np.asarray(A, dtype=complex)
-    p = A.shape[0] + 1
+    p = len(A) + 1
     A = _check_square(A, p)
-    out = np.empty_like(A)
-    for m in range(1, p):
-        minv = mod_inverse(m, p)
-        for n in range(1, p):
-            if n == m:
-                out[m - 1, n - 1] = A[(-m) % p - 1, 0]
-            else:
-                out[m - 1, n - 1] = A[(m - n) % p - 1, (minv * n) % p - 1]
-    return out
+    m = np.arange(1, p)[:, None]
+    n = np.arange(1, p)[None, :]
+    rows = np.where(m == n, -m, m - n) % p
+    return A[rows - 1, (inverse_table(p)[m] * n) % p - 1]
 
 
 def omega0(p: int) -> np.ndarray:
@@ -185,7 +175,6 @@ def omega1(p: int) -> np.ndarray:
     """
     validate_prime(p)
     M = np.zeros((p - 2, p - 2), dtype=complex)
-    for n in range(1, p - 1):
-        target = (1 + mod_inverse(n, p)) % p
-        M[n - 1, target - 2] = 1.0
+    n = np.arange(1, p - 1)
+    M[n - 1, inverse_table(p)[n] - 1] = 1.0  # column index of label 1 + n^-1
     return M

@@ -72,13 +72,17 @@ def _emit(obj) -> None:
     sys.stdout.write(_dump(obj) + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or a NaN/Infinity token
         raise ValueError(f"malformed JSON in {path}: {e}") from e
 
 

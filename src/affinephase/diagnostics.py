@@ -24,13 +24,10 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import recovery
-from .affine import enumerate_group, pi_matrix
-from .errors import InconsistentDataError
-from .harmonics import dft, idft
-from .primefield import mod_inverse, validate_prime
+from .errors import RANK_RTOL, InconsistentDataError
+from .harmonics import dft, dft_matrix, idft
+from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator, phase_distance
-
-_RANK_RTOL = 1e-10
 
 #: hard cap on exhaustive subset scans
 MAX_COMPLEMENT_VECTORS = 22
@@ -48,7 +45,7 @@ def _rank(M: np.ndarray, scale: float) -> int:
     if M.shape[0] == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > _RANK_RTOL * max(scale, np.finfo(float).tiny)))
+    return int(np.sum(sv > RANK_RTOL * max(scale, np.finfo(float).tiny)))
 
 
 def complement_property(vectors, exhaustive: bool = False) -> tuple[bool, tuple[int, ...] | None]:
@@ -88,7 +85,7 @@ def complement_property(vectors, exhaustive: bool = False) -> tuple[bool, tuple[
         proj_basis = np.linalg.svd(sub, full_matrices=False)[2][: d - 1]
         resid = V - (V @ proj_basis.conj().T) @ proj_basis
         members = frozenset(
-            int(i) for i in np.flatnonzero(np.linalg.norm(resid, axis=1) <= _RANK_RTOL * scale)
+            int(i) for i in np.flatnonzero(np.linalg.norm(resid, axis=1) <= RANK_RTOL * scale)
         )
         closures.add(members)
     maximal = [c for c in closures if not any(c < other for other in closures)]
@@ -518,13 +515,13 @@ class PauliPairReport:
 
 
 def _affine_coefficients(f, psi, p: int) -> np.ndarray:
-    """V_psi f as a (p-1) x p array, row l-1, column k."""
+    """V_psi f as a (p-1) x p array, row l-1, column k: the entry
+    sum_m f(m) conj(psi_l(m - k)), psi_l(x) = psi(l^-1 x), is a cyclic
+    correlation in k, taken with one FFT per l."""
     f = np.asarray(f, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    out = np.empty((p - 1, p), dtype=complex)
-    for x in enumerate_group(p):
-        out[x.l - 1, x.k] = np.vdot(pi_matrix(x) @ psi, f)
-    return out
+    psi_l = psi[np.outer(inverse_table(p)[1:], np.arange(p)) % p]
+    return np.fft.ifft(np.fft.fft(f) * np.fft.fft(psi_l, axis=1).conj(), axis=1)
 
 
 def pauli_pair_family(f, g, psi, tol: float = 1e-10) -> PauliPairReport:
@@ -562,13 +559,9 @@ def frequency_deleted_moduli(f, p: int) -> np.ndarray:
     f = np.asarray(f, dtype=complex)
     if f.shape != (p,):
         raise ValueError(f"f must live on Z_{p}")
-    fhat = dft(f)
-    out = np.empty((p - 1, p), dtype=float)
-    for l in range(1, p):
-        gh = fhat.copy()
-        gh[l] = 0.0
-        out[l - 1] = np.abs(idft(gh))
-    return out
+    gh = np.tile(dft(f), (p - 1, 1))  # row l-1 drops the frequency l
+    gh[np.arange(p - 1), np.arange(1, p)] = 0.0
+    return np.abs(gh @ dft_matrix(p).conj())
 
 
 def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
@@ -587,10 +580,7 @@ def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
         raise ValueError(f"expected a (p-1) x p moduli table, got {moduli.shape}")
     psi = canonical_time_generator(p)
     phi = dft(psi)[1:]
-    F = np.empty(p * (p - 1), dtype=complex)
-    for l in range(1, p):
-        linv = mod_inverse(l, p)
-        F[(l - 1) * p : l * p] = moduli[linv - 1] ** 2
+    F = (moduli[inverse_table(p)[1:] - 1] ** 2).reshape(-1)  # line l is |P_{l^-1} f|^2
     fhat0 = recovery.recover_vector(F, phi, p)
     fhat = np.concatenate([[0.0], fhat0])
     return canonical_phase(idft(fhat))

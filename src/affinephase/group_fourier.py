@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import pi_hat0_stack
+from .affine import dilation_index
 from .primefield import character_table, validate_prime
 
 
@@ -51,9 +51,13 @@ def chi_tilde(F, j: int, p: int) -> complex:
 
 
 def pi_hat0_transform(F, p: int) -> np.ndarray:
-    """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l)."""
+    """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l); its entry
+    (m, lm) is sum_k F(k,l) e^{-2 pi i km/p}, one FFT over k per l."""
     F = _check_group_function(F, p)
-    return np.einsum("x,xmn->mn", F, pi_hat0_stack(p))
+    G = np.fft.fft(F.reshape(p - 1, p), axis=1)  # row l-1, column m
+    out = np.empty((p - 1, p - 1), dtype=complex)
+    out[np.arange(p - 1), dilation_index(p)] = G[:, 1:]
+    return out
 
 
 def transform(F, p: int) -> AffineFourierCoefficients:
@@ -79,8 +83,10 @@ def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
     # scalar contribution per l, constant in k
     per_l = table.values.conj().T @ s  # index l-1
     scalar_term = np.repeat(per_l, p)  # l-outer, k-inner
-    # trace(M sigma^*) = sum entrywise M * conj(sigma)
-    matrix_term = (p - 1) * np.einsum("mn,xmn->x", M, pi_hat0_stack(p).conj())
+    # tr(M pi_hat0(k,l)^*) = sum_m M(m, lm) e^{2 pi i km/p}, one inverse FFT per l
+    G = np.zeros((p - 1, p), dtype=complex)
+    G[:, 1:] = M[np.arange(p - 1), dilation_index(p)]
+    matrix_term = (p - 1) * p * np.fft.ifft(G, axis=1).reshape(-1)
     return (scalar_term + matrix_term) / (p * (p - 1))
 
 

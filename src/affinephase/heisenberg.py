@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InadmissibleGeneratorError
-
-#: "nowhere vanishing" threshold, relative to ||phi||^2
-AMBIGUITY_RTOL = 1e-10
+from .errors import RANK_RTOL, InadmissibleGeneratorError, require_finite
+from .harmonics import diagonal_sums
 
 
 def _check_n(n: int) -> None:
@@ -25,7 +23,7 @@ def _check_n(n: int) -> None:
 
 
 def _check_phi(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=complex)
+    phi = require_finite("phi", phi)
     if phi.ndim != 1 or len(phi) < 2:
         raise ValueError("generator must be a vector on Z_n with n >= 2")
     return phi
@@ -41,40 +39,44 @@ def schrodinger_matrix(k: int, l: int, n: int) -> np.ndarray:
     return M
 
 
+def _translates(phi: np.ndarray) -> np.ndarray:
+    """Row k holds the translate y -> phi(y - k)."""
+    y = np.arange(len(phi))
+    return phi[(y[None, :] - y[:, None]) % len(phi)]
+
+
 def ambiguity(phi) -> np.ndarray:
-    """Ambiguity table A_phi(k,l) = n^{-1/2} <phi, pi(k,l) phi> on Z_n^2."""
+    """Ambiguity table A_phi(k,l) = n^{-1/2} <phi, pi(k,l) phi> on Z_n^2:
+    for each k, one FFT over y of phi(y) conj(phi(y - k))."""
     phi = _check_phi(phi)
-    n = len(phi)
-    A = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            A[k, l] = np.vdot(schrodinger_matrix(k, l, n) @ phi, phi)
-    return A / np.sqrt(n)
+    return np.fft.fft(phi * _translates(phi).conj(), axis=1) / np.sqrt(len(phi))
+
+
+def _vanishing_point(amb: np.ndarray, phi: np.ndarray) -> tuple[int, int] | None:
+    """The first (k, l) with |A_phi(k,l)| <= RANK_RTOL * ||phi||^2, or None."""
+    norm2 = max(float(np.vdot(phi, phi).real), np.finfo(float).tiny)
+    bad = np.argwhere(np.abs(amb) <= RANK_RTOL * norm2)
+    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
 
 
 def check_generator_h(phi) -> bool:
     """True iff the ambiguity function of phi is nowhere vanishing
-    (min |A_phi| > AMBIGUITY_RTOL * ||phi||^2)."""
+    (min |A_phi| > RANK_RTOL * ||phi||^2)."""
     phi = _check_phi(phi)
-    norm2 = float(np.vdot(phi, phi).real)
-    if norm2 == 0:
-        return False
-    return bool(np.min(np.abs(ambiguity(phi))) > AMBIGUITY_RTOL * norm2)
+    return _vanishing_point(ambiguity(phi), phi) is None
 
 
 def h_forward(A, phi) -> np.ndarray:
-    """Measurements F(k,l) = <A pi(k,l) phi, pi(k,l) phi> on Z_n^2."""
+    """Measurements F(k,l) = <A pi(k,l) phi, pi(k,l) phi> on Z_n^2
+    = sum_d e^{-2 pi i ld/n} D_k(d), where D_k(d) sums the cyclic diagonal
+    y - z = d of conj(phi(y-k)) A(y,z) phi(z-k)."""
     phi = _check_phi(phi)
     n = len(phi)
-    A = np.asarray(A, dtype=complex)
+    A = require_finite("A", A)
     if A.shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}, got {A.shape}")
-    F = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            w = schrodinger_matrix(k, l, n) @ phi
-            F[k, l] = np.vdot(w, A @ w)
-    return F
+    T = _translates(phi)
+    return np.fft.fft(diagonal_sums(T.conj()[:, :, None] * A * T[:, None, :]), axis=1)
 
 
 def h_recover(F, phi) -> np.ndarray:
@@ -85,28 +87,19 @@ def h_recover(F, phi) -> np.ndarray:
 
     The mixed-sign kernel in (i) matches the conjugation action
     pi(k,l)^* pi(k',l') pi(k,l) = e^{2 pi i (l'k - lk')/n} pi(k',l').
+    Step (i) is fft2(F)(l', -k'); in (ii), <pi(k',l') phi, phi> = n^{1/2}
+    conj(A_phi(k',l')) and one inverse FFT over l' gives the diagonal y-z = k'.
     """
     phi = _check_phi(phi)
     n = len(phi)
-    F = np.asarray(F, dtype=complex)
+    F = require_finite("F", F)
     if F.shape != (n, n):
         raise ValueError(f"measurements must be {n}x{n}, got {F.shape}")
     amb = ambiguity(phi)
-    norm2 = float(np.vdot(phi, phi).real)
-    bad = np.argwhere(np.abs(amb) <= AMBIGUITY_RTOL * max(norm2, np.finfo(float).tiny))
-    if len(bad):
-        k0, l0 = (int(v) for v in bad[0])
-        raise InadmissibleGeneratorError(
-            f"ambiguity function vanishes at (k,l) = ({k0},{l0})"
-        )
-    idx = np.arange(n)
-    E = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-    # F_hat[k', l'] = sum_{k,l} F[k,l] e^{-2 pi i l'k/n} e^{+2 pi i lk'/n}
-    F_hat = E.conj() @ F.T @ E.T
-    A = np.zeros((n, n), dtype=complex)
-    for kp in range(n):
-        for lp in range(n):
-            pi_m = schrodinger_matrix(kp, lp, n)
-            denom = np.vdot(phi, pi_m @ phi)  # <pi phi, phi>
-            A += F_hat[kp, lp] / denom * pi_m
-    return A / n**2
+    bad = _vanishing_point(amb, phi)
+    if bad is not None:
+        raise InadmissibleGeneratorError(f"ambiguity function vanishes at (k,l) = {bad}")
+    y = np.arange(n)
+    F_hat = np.fft.fft2(F)[:, -y % n].T
+    G = np.fft.ifft(F_hat / (np.sqrt(n) * amb.conj()), axis=1)  # row k', column y
+    return G[(y[:, None] - y[None, :]) % n, y[:, None]] / n

@@ -1,8 +1,8 @@
 """Modular arithmetic in Z_p / Z_p* and multiplicative character tables.
 
-All reductions mod p happen here; integers mod p are always stored as
-canonical representatives in {0..p-1}.  Primes are desk-scale (p <= ~200),
-so primality and primitive roots are handled by direct deterministic search.
+Integers mod p are always stored as canonical representatives in
+{0..p-1}.  Primes are desk-scale, so primality, inverses and primitive
+roots are handled by direct deterministic search.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ def mod_inverse(a: int, p: int) -> int:
     if a % p == 0:
         raise ValueError(f"{a} is not invertible mod {p}")
     return pow(int(a), -1, p)
+
+
+def inverse_table(p: int) -> np.ndarray:
+    """Index array ``inv[a] = a^-1 mod p`` for a in {1..p-1}, and ``inv[0] = 0``."""
+    validate_prime(p)
+    return np.array([0] + [pow(a, -1, p) for a in range(1, p)])
 
 
 def _prime_factors(n: int) -> set[int]:

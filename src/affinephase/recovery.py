@@ -25,18 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import enumerate_group, omega0, omega1, s_inverse_apply
-from .errors import InadmissibleGeneratorError, InconsistentDataError
+from .affine import dilation_index, omega0, omega1, s_inverse_apply
+from .errors import RANK_RTOL, InadmissibleGeneratorError, InconsistentDataError, require_finite
 from .group_fourier import chi_tilde_all, pi_hat0_transform
+from .harmonics import diagonal_sums
 from .primefield import character_table, validate_prime
-
-#: singular values below RANK_RTOL * sigma_max count as zero
-RANK_RTOL = 1e-10
 
 
 def _check_phi(phi, p: int) -> np.ndarray:
     validate_prime(p)
-    phi = np.asarray(phi, dtype=complex)
+    phi = require_finite("phi", phi)
     if phi.shape != (p - 1,):
         raise ValueError(f"generator must live on {{1..{p - 1}}}, got shape {phi.shape}")
     return phi
@@ -120,22 +118,25 @@ def canonical_time_generator(p: int) -> np.ndarray:
 
 
 def frame_vectors(phi, p: int) -> np.ndarray:
-    """All orbit vectors pi_hat0(k,l) phi stacked in canonical group order."""
+    """All orbit vectors pi_hat0(k,l) phi stacked in canonical group order:
+    row (l-1)p + k holds m -> e^{-2 pi i km/p} phi(lm)."""
     phi = _check_phi(phi, p)
-    m = np.arange(1, p)
-    W = np.empty((p * (p - 1), p - 1), dtype=complex)
-    for i, x in enumerate(enumerate_group(p)):
-        W[i] = np.exp(-2j * np.pi * x.k * m / p) * phi[(x.l * m) % p - 1]
-    return W
+    km = np.outer(np.arange(p), np.arange(1, p)) % p
+    W = np.exp(-2j * np.pi * km / p)[None, :, :] * phi[dilation_index(p)][:, None, :]
+    return W.reshape(p * (p - 1), p - 1)
 
 
 def forward_measure(A, phi, p: int) -> np.ndarray:
-    """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>."""
-    A = np.asarray(A, dtype=complex)
+    """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>
+    = sum_d e^{2 pi i kd/p} D_l(d), where D_l(d) sums the cyclic diagonal
+    m - n = d of conj(phi(lm)) A(m,n) phi(ln) on Z_p."""
+    phi = _check_phi(phi, p)
+    A = require_finite("A", A)
     if A.shape != (p - 1, p - 1):
         raise ValueError(f"matrix must be (p-1)x(p-1) = {(p - 1, p - 1)}, got {A.shape}")
-    W = frame_vectors(phi, p)
-    return np.einsum("xm,mn,xn->x", W.conj(), A, W)
+    dilated = np.pad(phi[dilation_index(p)], ((0, 0), (1, 0)))  # phi(l.) on Z_p, 0 at 0
+    D = diagonal_sums(dilated.conj()[:, :, None] * np.pad(A, (1, 0)) * dilated[:, None, :])
+    return p * np.fft.ifft(D, axis=1).reshape(-1)
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:
@@ -146,7 +147,7 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     inverse of B_phi, (3) A = S*((a_1 | A_2')).
     """
     phi = _check_phi(phi, p)
-    F = np.asarray(F, dtype=complex)
+    F = require_finite("F", F)
     if F.shape != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
     report = check_generator(phi, p)
@@ -211,7 +212,6 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
     The recovered matrix is Hermitian-symmetrized, the top eigenvector is
     scaled so that ||f||^2 = trace(A), and the output phase is normalized.
     """
-    F = np.asarray(F, dtype=complex)
     A = recover_matrix(F, phi, p)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[0] <= np.finfo(float).tiny:

@@ -4,6 +4,7 @@ import pytest
 from affinephase.affine import (
     AffineElement,
     ENUMERATION_ORDER_TAG,
+    dilation_index,
     element_index,
     enumerate_group,
     omega0,
@@ -108,6 +109,15 @@ def test_pi_hat_fixes_zero_frequency_and_restricts():
         assert np.allclose(M[1:, 1:], pi_hat0_matrix(x), atol=1e-14)
 
 
+def test_dilation_index_is_support_of_pi_hat0():
+    for p in (3, 5, 7):
+        idx = dilation_index(p)
+        for x in enumerate_group(p):
+            support = np.zeros((p - 1, p - 1), dtype=bool)
+            support[np.arange(p - 1), idx[x.l - 1]] = True
+            assert np.array_equal(pi_hat0_matrix(x) != 0, support), (p, x)
+
+
 def test_pi_hat0_homomorphism_and_unitarity():
     p = 5
     elems = enumerate_group(p)
@@ -158,6 +168,22 @@ def test_s_round_trip_and_norm():
         assert np.allclose(s_apply(s_inverse_apply(A)), A, atol=1e-13)
         # entry permutation: Frobenius norm is preserved
         assert abs(np.linalg.norm(SA) - np.linalg.norm(A)) < 1e-12
+
+
+def test_s_and_s_inverse_against_entry_formulas():
+    for p in (3, 5, 7, 13):
+        A = rand_matrix(p - 1)
+        SA, SinvA = s_apply(A), s_inverse_apply(A)
+        for m in range(1, p):
+            assert SA[m - 1, 0] == A[(-m) % p - 1, (-m) % p - 1]
+            assert SinvA[m - 1, m - 1] == A[(-m) % p - 1, 0]
+            for n in range(1, p):
+                if n >= 2:
+                    inv = mod_inverse((1 - n) % p, p)
+                    assert SA[m - 1, n - 1] == A[(m * inv) % p - 1, (m * n * inv) % p - 1]
+                if n != m:
+                    expected = A[(m - n) % p - 1, (mod_inverse(m, p) * n) % p - 1]
+                    assert SinvA[m - 1, n - 1] == expected
 
 
 def test_omega0_is_involutive_permutation():

@@ -165,6 +165,21 @@ def test_exit_code_2_on_malformed_json(capsys, tmp_path):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_non_finite_json_token(capsys, tmp_path):
+    p = 5
+    phi_path = tmp_path / "phi.json"
+    write_vector(phi_path, canonical_generator(p), range(1, p))
+    meas_path = tmp_path / "F.json"
+    for token in ("NaN", "Infinity", "-Infinity"):
+        values = [float(token)] + [0.0] * (p * (p - 1) - 1)
+        meas_path.write_text(json.dumps({"p": p, "order": "l-outer-k-inner", "values": values}))
+        code = main(
+            ["recover-matrix", "--p", "5", "--phi", str(phi_path), "--measurements", str(meas_path)]
+        )
+        assert code == 2
+        assert f"non-finite number {token}" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_length_mismatch(capsys, tmp_path):
     phi_path = tmp_path / "phi.json"
     phi_path.write_text(json.dumps({"values": [[1.0, 0.0]] * 3}))

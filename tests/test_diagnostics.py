@@ -6,6 +6,7 @@ import pytest
 from affinephase.affine import enumerate_group, pi_matrix
 from affinephase.diagnostics import (
     PatchData,
+    _affine_coefficients,
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
@@ -270,6 +271,15 @@ def test_pauli_pair_same_orbit():
     f = RNG.normal(size=p) + 1j * RNG.normal(size=p)
     rep = pauli_pair_family(f, np.exp(1.3j) * f, canonical_time_generator(p))
     assert rep.all_hold
+
+
+def test_affine_coefficients_against_pi_matrix_action():
+    for p in (3, 5, 7, 13):
+        f = RNG.normal(size=p) + 1j * RNG.normal(size=p)
+        psi = RNG.normal(size=p) + 1j * RNG.normal(size=p)
+        V = _affine_coefficients(f, psi, p)
+        for x in enumerate_group(p):
+            assert abs(V[x.l - 1, x.k] - np.vdot(pi_matrix(x) @ psi, f)) < 1e-12, (p, x)
 
 
 def test_pauli_pair_detects_mismatch():

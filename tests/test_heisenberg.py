@@ -57,13 +57,24 @@ def test_rescaled_matrices_are_orthonormal_basis():
 
 
 def test_ambiguity_against_direct_inner_products():
-    n = 4
-    phi = rand_generator(n)
-    A = ambiguity(phi)
-    for k in range(n):
-        for l in range(n):
-            direct = np.vdot(schrodinger_matrix(k, l, n) @ phi, phi) / np.sqrt(n)
-            assert abs(A[k, l] - direct) < 1e-13
+    for n in (2, 3, 4, 6, 9):
+        phi = rand_generator(n)
+        A = ambiguity(phi)
+        for k in range(n):
+            for l in range(n):
+                direct = np.vdot(schrodinger_matrix(k, l, n) @ phi, phi) / np.sqrt(n)
+                assert abs(A[k, l] - direct) < 1e-13, (n, k, l)
+
+
+def test_h_forward_against_direct_quadratic_forms():
+    for n in (2, 3, 4, 6, 9):
+        phi = rand_generator(n)
+        A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+        F = h_forward(A, phi)
+        for k in range(n):
+            for l in range(n):
+                w = schrodinger_matrix(k, l, n) @ phi
+                assert abs(F[k, l] - np.vdot(w, A @ w)) <= 1e-12 * np.max(np.abs(F)), (n, k, l)
 
 
 def test_delta_generator_inadmissible():
@@ -89,3 +100,21 @@ def test_recover_rejects_vanishing_ambiguity():
     delta[0] = 1.0
     with pytest.raises(InadmissibleGeneratorError, match="vanishes"):
         h_recover(np.zeros((n, n)), delta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected_naming_the_argument(bad):
+    n = 4
+    phi = rand_generator(n)
+    A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+    F = h_forward(A, phi)
+    bad_phi, bad_A, bad_F = phi.copy(), A.copy(), F.copy()
+    bad_phi[1] = bad_A[2, 0] = bad_F[3, 3] = bad
+    with pytest.raises(ValueError, match="phi has a non-finite entry"):
+        h_forward(A, bad_phi)
+    with pytest.raises(ValueError, match="A has a non-finite entry"):
+        h_forward(bad_A, phi)
+    with pytest.raises(ValueError, match="phi has a non-finite entry"):
+        h_recover(F, bad_phi)
+    with pytest.raises(ValueError, match="F has a non-finite entry"):
+        h_recover(bad_F, phi)

@@ -3,6 +3,7 @@ import pytest
 
 from affinephase.primefield import (
     character_table,
+    inverse_table,
     is_prime,
     mod_inverse,
     primitive_root,
@@ -26,8 +27,11 @@ def test_validate_prime_rejects_even_and_composite():
 
 def test_mod_inverse_all_units():
     for p in (3, 5, 7, 11, 13):
+        inv = inverse_table(p)
+        assert inv.shape == (p,) and inv[0] == 0
         for a in range(1, p):
             assert (a * mod_inverse(a, p)) % p == 1
+            assert inv[a] == mod_inverse(a, p)
     with pytest.raises(ValueError):
         mod_inverse(0, 7)
 

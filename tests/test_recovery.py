@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,22 +79,27 @@ def test_delta_generator_fails_condition_ii():
         assert not rep.cond_ii_holds
 
 
+def generators(p):
+    return canonical_generator(p), RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+
+
 def test_frame_vectors_match_pi_hat0_action():
-    p = 5
-    phi = canonical_generator(p)
-    W = frame_vectors(phi, p)
-    for i, x in enumerate(enumerate_group(p)):
-        assert np.allclose(W[i], pi_hat0_matrix(x) @ phi, atol=1e-13)
+    for p in (3, 5, 7, 13, 31):
+        for phi in generators(p):
+            W = frame_vectors(phi, p)
+            for i, x in enumerate(enumerate_group(p)):
+                assert np.allclose(W[i], pi_hat0_matrix(x) @ phi, atol=1e-13), (p, x)
 
 
 def test_forward_measure_is_quadratic_form():
-    p = 5
-    phi = canonical_generator(p)
-    A = rand_matrix(p - 1)
-    F = forward_measure(A, phi, p)
-    W = frame_vectors(phi, p)
-    for i in range(p * (p - 1)):
-        assert abs(F[i] - np.vdot(W[i], A @ W[i])) < 1e-12
+    for p in (3, 5, 7, 13, 31):
+        for phi in generators(p):
+            A = rand_matrix(p - 1)
+            F = forward_measure(A, phi, p)
+            scale = np.max(np.abs(F))
+            for i, x in enumerate(enumerate_group(p)):
+                w = pi_hat0_matrix(x) @ phi
+                assert abs(F[i] - np.vdot(w, A @ w)) <= 1e-12 * scale, (p, x)
 
 
 def test_round_trip_random_matrices():
@@ -192,3 +199,43 @@ def test_oracle_full_map_rows():
     A = rand_matrix(p - 1)
     F = forward_measure(A, phi, p)
     assert np.allclose(M @ A.reshape(-1), F, atol=1e-11)
+
+
+def test_round_trip_peak_memory_at_p101():
+    # the structured paths need O(p^3) memory at most; a stack of all p(p-1)
+    # dense pi_hat0 matrices would take 1.6 GB at p=101
+    p = 101
+    phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    A = rand_matrix(p - 1)
+    tracemalloc.start()
+    try:
+        rec = recover_matrix(forward_measure(A, phi, p), phi, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, peak
+    assert np.linalg.norm(rec - A) <= 1e-9 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_input_rejected_naming_the_argument(bad):
+    p = 5
+    phi = canonical_generator(p)
+    A = rand_matrix(p - 1)
+    F = forward_measure(A, phi, p)
+    bad_phi, bad_A, bad_F = phi.copy(), A.copy(), F.copy()
+    bad_phi[2] = bad_A[1, 3] = bad_F[7] = bad
+    with pytest.raises(ValueError, match="phi has a non-finite entry"):
+        forward_measure(A, bad_phi, p)
+    with pytest.raises(ValueError, match="A has a non-finite entry"):
+        forward_measure(bad_A, phi, p)
+    with pytest.raises(ValueError, match="phi has a non-finite entry"):
+        recover_matrix(F, bad_phi, p)
+    with pytest.raises(ValueError, match="F has a non-finite entry"):
+        recover_matrix(bad_F, phi, p)
+    with pytest.raises(ValueError, match="phi has a non-finite entry"):
+        recover_vector(np.abs(F), bad_phi, p)
+    with pytest.raises(ValueError, match="F has a non-finite entry"):
+        recover_vector(np.abs(bad_F), phi, p)
+    with pytest.raises(ValueError, match="phi has a non-finite entry"):
+        check_generator(bad_phi, p)
