@@ -159,7 +159,7 @@ def s_inverse_apply(A) -> np.ndarray:
 
 
 def omega0(p: int) -> np.ndarray:
-    """Sign-flip permutation on {1..p-1}: (Omega0 f)(m) = f(-m)."""
+    """Sign-flip permutation on {1..p-1}: (Omega0 f)(m) = f(-m).  Test oracle only."""
     validate_prime(p)
     M = np.zeros((p - 1, p - 1), dtype=complex)
     m = np.arange(1, p)
@@ -171,7 +171,7 @@ def omega1(p: int) -> np.ndarray:
     """Permutation-style matrix of (Omega1 f)(n) = f(1 + n^-1).
 
     Rows are labelled {1..p-2}, columns {2..p-1} (column index j for label
-    j+2); omega(n) = 1 + n^-1 is a bijection {1..p-2} -> {2..p-1}.
+    j+2); omega(n) = 1 + n^-1 is a bijection {1..p-2} -> {2..p-1}.  Test oracle only.
     """
     validate_prime(p)
     M = np.zeros((p - 2, p - 2), dtype=complex)

@@ -9,14 +9,15 @@ File formats:
     the order tag is mandatory and must match the canonical enumeration.
 
 Exit codes: 0 success, 2 validation error (malformed input, length
-mismatch, inadmissible generator), 3 numerical failure (tolerance
-exceeded during recovery).  The SEED environment variable overrides the
+mismatch, p or n above errors.MAX_SIZE, inadmissible generator), 3 numerical
+failure (tolerance exceeded during recovery).  The SEED environment variable overrides the
 default seed of randomized subcommands.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -256,7 +257,7 @@ def _cmd_recover_vector(args) -> int:
     phi = _read_vector(args.phi, range(1, p))
     F = _read_measurements(args.measurements, p, real=True)
     f = recovery.recover_vector(F.astype(complex), phi, p)
-    pred = np.abs(recovery.frame_vectors(phi, p).conj() @ f) ** 2
+    pred = recovery.forward_measure(np.outer(f, f.conj()), phi, p).real  # |<f, w_x>|^2
     resid = float(np.linalg.norm(pred - F))
     scale = max(float(np.linalg.norm(F)), np.finfo(float).tiny)
     out = _vector_doc(f, range(1, p))
@@ -268,8 +269,7 @@ def _cmd_recover_vector(args) -> int:
 
 def _cmd_heisenberg(args) -> int:
     n = args.n
-    if n < 2:
-        raise ValueError(f"--n must be >= 2, got {n}")
+    heisenberg._check_n(n)
     phi = _read_vector(args.phi, range(n))
     if args.action == "check":
         amb = heisenberg.ambiguity(phi)
@@ -354,17 +354,7 @@ def _cmd_diagnostics(args) -> int:
             if args.psi
             else recovery.canonical_time_generator(p)
         )
-        rep = diagnostics.pauli_pair_family(f, g, psi)
-        _emit(
-            {
-                "p": rep.p,
-                "all_hold": rep.all_hold,
-                "time_side_match": rep.time_side_match,
-                "fourier_side_match": rep.fourier_side_match,
-                "max_time_deviation": rep.max_time_deviation,
-                "max_fourier_deviation": rep.max_fourier_deviation,
-            }
-        )
+        _emit(dataclasses.asdict(diagnostics.pauli_pair_family(f, g, psi)))
         return EXIT_OK
     if kind == "projection-pr":
         p = args.p
@@ -380,21 +370,7 @@ def _cmd_diagnostics(args) -> int:
 
 def _cmd_demo_counterexample(_args) -> int:
     rep = diagnostics.verify_counterexample_n3()
-    _emit(
-        {
-            "all_confirmed": rep.all_confirmed,
-            "zero_sums_ok": rep.zero_sums_ok,
-            "identities_ok": rep.identities_ok,
-            "identity_max_error": rep.identity_max_error,
-            "configurations_inequivalent": rep.configurations_inequivalent,
-            "norm_ratio_zy": rep.norm_ratio_zy,
-            "modulus_ratio_ba": rep.modulus_ratio_ba,
-            "coincidence_ok": rep.coincidence_ok,
-            "coincidence_max_error": rep.coincidence_max_error,
-            "matching_constant": rep.matching_constant,
-            "orthogonal_to_y": rep.orthogonal_to_y,
-        }
-    )
+    _emit({"all_confirmed": rep.all_confirmed, **dataclasses.asdict(rep)})
     return EXIT_OK
 
 

@@ -404,16 +404,7 @@ def phase_propagation_stitch(patches, n: int, tol: float = 1e-8) -> np.ndarray:
                     if pair in established:
                         s += established[pair][0] * np.conj(val)
                 if abs(s) > thresh**2:  # product of two difference magnitudes
-                    alpha = s / abs(s)
-                    # residual check on the overlap before absorbing
-                    for pair, val in d.items():
-                        if pair in established:
-                            prev, src = established[pair]
-                            if abs(prev - alpha * val) > thresh:
-                                raise InconsistentDataError(
-                                    f"patches {src} and {idx} disagree on pair {pair}"
-                                )
-                    absorb(idx, alpha)
+                    absorb(idx, s / abs(s))  # raises if the overlap disagrees
                     pending.remove(idx)
                     progress = True
         if pending:

@@ -11,6 +11,11 @@ import numpy as np
 #: do not count towards a rank; |c_phi|, |A_phi| <= RANK_RTOL * ||phi||^2 vanish.
 RANK_RTOL = 1e-10
 
+#: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
+#: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
+#: is about 0.9 GB at this limit.  Checked before any primality test.
+MAX_SIZE = 2500
+
 
 def require_finite(name: str, a) -> np.ndarray:
     """``a`` as a complex array; ValueError naming it if an entry is NaN or inf."""

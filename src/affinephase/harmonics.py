@@ -1,9 +1,9 @@
-"""Unitary DFT on Z_p, cyclic convolution and cyclic diagonal sums.
+"""Unitary DFT on Z_p and cyclic convolution.
 
 The transform is normalized by p**-0.5 so that it is unitary; the
 convolution theorem then reads (f * g)^ = p**0.5 * fhat * ghat.
 :func:`dft` and :func:`idft` stay dense matrix products; the group kernels
-use :func:`diagonal_sums` or index gathers, then ``numpy.fft``.
+are index gathers and scatters followed by ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -54,14 +54,3 @@ def convolve(f, g) -> np.ndarray:
     # index matrix (m - n) mod p, row m, column n
     idx = (m[:, None] - m[None, :]) % p
     return (g[idx] * f[None, :]).sum(axis=1)
-
-
-def diagonal_sums(M) -> np.ndarray:
-    """Cyclic diagonal sums over the last two axes of a stack of n x n
-    matrices: ``out[..., d] = sum_i M[..., i, (i - d) mod n]``."""
-    M = np.asarray(M)
-    n = M.shape[-1]
-    if M.shape[-2:] != (n, n):
-        raise ValueError(f"expected square matrices in the last two axes, got {M.shape}")
-    i = np.arange(n)[:, None]
-    return M[..., i, (i - i.T) % n].sum(axis=-2)

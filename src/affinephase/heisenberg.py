@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RANK_RTOL, InadmissibleGeneratorError, require_finite
-from .harmonics import diagonal_sums
+from .errors import MAX_SIZE, RANK_RTOL, InadmissibleGeneratorError, require_finite
 
 
 def _check_n(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need integer n >= 2, got {n}")
+    if n > MAX_SIZE:
+        raise ValueError(f"n = {n} exceeds the size limit MAX_SIZE = {MAX_SIZE}")
 
 
 def _check_phi(phi) -> np.ndarray:
     phi = require_finite("phi", phi)
     if phi.ndim != 1 or len(phi) < 2:
         raise ValueError("generator must be a vector on Z_n with n >= 2")
+    _check_n(len(phi))
     return phi
 
 
@@ -67,16 +69,21 @@ def check_generator_h(phi) -> bool:
 
 
 def h_forward(A, phi) -> np.ndarray:
-    """Measurements F(k,l) = <A pi(k,l) phi, pi(k,l) phi> on Z_n^2
-    = sum_d e^{-2 pi i ld/n} D_k(d), where D_k(d) sums the cyclic diagonal
-    y - z = d of conj(phi(y-k)) A(y,z) phi(z-k)."""
+    """Measurements F(k,l) = <A pi(k,l) phi, pi(k,l) phi> on Z_n^2.
+
+    :func:`h_recover` run backwards: G[k', y] = n A(y, y-k') holds the cyclic
+    diagonals of A, F_hat = n^{1/2} conj(A_phi) * (FFT of G over y), and
+    F = ifft2 of F_hat(-k, l') at (l', k).  O(n^2 log n) time, O(n^2) memory.
+    """
     phi = _check_phi(phi)
     n = len(phi)
     A = require_finite("A", A)
     if A.shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}, got {A.shape}")
-    T = _translates(phi)
-    return np.fft.fft(diagonal_sums(T.conj()[:, :, None] * A * T[:, None, :]), axis=1)
+    y = np.arange(n)
+    G = n * A[y[None, :], (y[None, :] - y[:, None]) % n]  # row k', column y
+    F_hat = np.sqrt(n) * ambiguity(phi).conj() * np.fft.fft(G, axis=1)
+    return np.fft.ifft2(F_hat[-y % n].T)
 
 
 def h_recover(F, phi) -> np.ndarray:

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import MAX_SIZE
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
@@ -30,9 +32,11 @@ def is_prime(n: int) -> bool:
 
 
 def validate_prime(p: int) -> None:
-    """Require an odd prime p >= 3."""
+    """Require an odd prime 3 <= p <= MAX_SIZE."""
     if not isinstance(p, (int, np.integer)):
         raise ValueError(f"modulus must be an integer, got {type(p).__name__}")
+    if p > MAX_SIZE:
+        raise ValueError(f"modulus p = {p} exceeds the size limit MAX_SIZE = {MAX_SIZE}")
     if p < 3 or not is_prime(int(p)):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
 

@@ -25,11 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import dilation_index, omega0, omega1, s_inverse_apply
+from .affine import dilation_index, s_apply, s_inverse_apply
 from .errors import RANK_RTOL, InadmissibleGeneratorError, InconsistentDataError, require_finite
-from .group_fourier import chi_tilde_all, pi_hat0_transform
-from .harmonics import diagonal_sums
-from .primefield import character_table, validate_prime
+from .group_fourier import (
+    AffineFourierCoefficients,
+    chi_tilde_all,
+    fourier_invert,
+    pi_hat0_transform,
+)
+from .primefield import character_table, inverse_table, validate_prime
 
 
 def _check_phi(phi, p: int) -> np.ndarray:
@@ -67,17 +71,17 @@ class GeneratorReport:
     admissible: bool
 
 
-def check_generator(phi, p: int) -> GeneratorReport:
-    """Evaluate both admissibility conditions for phi."""
-    phi = _check_phi(phi, p)
+def _factor_generator(phi: np.ndarray, p: int) -> tuple[GeneratorReport, tuple]:
+    """Both admissibility conditions, and the thin SVD (U, sigma, V^H) of
+    B_phi that condition (ii) was read from."""
     c = c_phi(phi, p)
     scale = max(float(np.vdot(phi, phi).real), np.finfo(float).tiny)
     cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
     B = b_phi(phi, p)
-    sv = np.linalg.svd(B, compute_uv=False)
+    U, sv, Vh = np.linalg.svd(B, full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
     cond_ii = rank == p - 2
-    return GeneratorReport(
+    report = GeneratorReport(
         p=p,
         cond_i_values=c,
         cond_i_holds=cond_i,
@@ -86,6 +90,12 @@ def check_generator(phi, p: int) -> GeneratorReport:
         cond_ii_holds=cond_ii,
         admissible=cond_i and cond_ii,
     )
+    return report, (U, sv, Vh)
+
+
+def check_generator(phi, p: int) -> GeneratorReport:
+    """Evaluate both admissibility conditions for phi."""
+    return _factor_generator(_check_phi(phi, p), p)[0]
 
 
 def canonical_generator(p: int) -> np.ndarray:
@@ -126,17 +136,28 @@ def frame_vectors(phi, p: int) -> np.ndarray:
     return W.reshape(p * (p - 1), p - 1)
 
 
+def _omega1_index(p: int) -> np.ndarray:
+    """Entry n-1 is the column index n^-1 - 1 of label 1 + n^-1: Omega1 as a gather."""
+    return inverse_table(p)[1 : p - 1] - 1
+
+
 def forward_measure(A, phi, p: int) -> np.ndarray:
-    """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>
-    = sum_d e^{2 pi i kd/p} D_l(d), where D_l(d) sums the cyclic diagonal
-    m - n = d of conj(phi(lm)) A(m,n) phi(ln) on Z_p."""
+    """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>.
+
+    :func:`recover_matrix` run backwards: with SA = (a_1 | A_2'), the group
+    Fourier transform of F is chi~_j(F) = p c_phi(chi_j) (conj(chi_j) . a_1)
+    and pi_hat0(F) = p A_2' Omega1^T B_phi^H Omega0, and F is its inverse
+    transform.  One GEMM and p-1 FFTs of length p: O(p^3) time, O(p^2) memory.
+    """
     phi = _check_phi(phi, p)
     A = require_finite("A", A)
     if A.shape != (p - 1, p - 1):
         raise ValueError(f"matrix must be (p-1)x(p-1) = {(p - 1, p - 1)}, got {A.shape}")
-    dilated = np.pad(phi[dilation_index(p)], ((0, 0), (1, 0)))  # phi(l.) on Z_p, 0 at 0
-    D = diagonal_sums(dilated.conj()[:, :, None] * np.pad(A, (1, 0)) * dilated[:, None, :])
-    return p * np.fft.ifft(D, axis=1).reshape(-1)
+    SA = s_apply(A)
+    s = p * c_phi(phi, p) * (character_table(p).values.conj() @ SA[:, 0])
+    # Omega1^T is a column gather; right-multiplying by Omega0 reverses the columns
+    M = p * (SA[:, 1:][:, _omega1_index(p)] @ b_phi(phi, p).conj().T)[:, ::-1]
+    return fourier_invert(AffineFourierCoefficients(p, s, M))
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:
@@ -150,7 +171,7 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     F = require_finite("F", F)
     if F.shape != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report = check_generator(phi, p)
+    report, (U, sv, Vh) = _factor_generator(phi, p)
     if not report.admissible:
         failed = []
         if not report.cond_i_holds:
@@ -167,9 +188,11 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     a1 = table.values.T @ (s / report.cond_i_values) / (p * (p - 1))
     # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
     # the prefactor follows from Schur orthogonality of the unnormalized
-    # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*)
-    B_dag = np.linalg.pinv(report.b_phi, rcond=RANK_RTOL)
-    A2p = pi_hat0_transform(F, p) @ omega0(p).T @ B_dag.conj().T @ omega1(p) / p
+    # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
+    # reverses the columns, (B_phi^dagger)^* = U sigma^-1 V^H from the SVD
+    # that decided condition (ii), and Omega1 scatters the columns.
+    A2p = np.empty((p - 1, p - 2), dtype=complex)
+    A2p[:, _omega1_index(p)] = pi_hat0_transform(F, p)[:, ::-1] @ (U / sv) @ Vh / p
     # step 3
     return s_inverse_apply(np.concatenate([a1[:, None], A2p], axis=1))
 

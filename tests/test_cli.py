@@ -129,6 +129,26 @@ def test_recover_vector(capsys, tmp_path):
     assert phase_distance(parse_vector(doc), f) < 1e-8
 
 
+def test_recover_vector_residual_matches_frame_vector_formula(capsys, tmp_path):
+    p = 13
+    phi = canonical_generator(p)
+    f = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    W = frame_vectors(phi, p)
+    # slightly perturbed moduli, so that the residual is not rounding noise
+    F = np.abs(W.conj() @ f) ** 2 * (1 + 1e-9 * RNG.normal(size=p * (p - 1)))
+    phi_path = tmp_path / "phi.json"
+    write_vector(phi_path, phi, range(1, p))
+    meas_path = tmp_path / "F.json"
+    meas_path.write_text(json.dumps({"p": p, "order": "l-outer-k-inner", "values": list(F)}))
+    code, doc = run(
+        capsys, "recover-vector", "--p", str(p), "--phi", str(phi_path), "--measurements", str(meas_path)
+    )
+    assert code == 0
+    old = np.linalg.norm(np.abs(W.conj() @ parse_vector(doc)) ** 2 - F) / np.linalg.norm(F)
+    assert old > 1e-11
+    assert abs(doc["relative_residual"] - old) <= 1e-12
+
+
 def test_exit_code_2_on_inadmissible(capsys, tmp_path):
     phi_path = tmp_path / "phi.json"
     write_vector(phi_path, np.ones(4), range(1, 5))
@@ -278,6 +298,21 @@ def test_byte_determinism(capsys):
     main(["gen-vector", "--p", "7", "--time-side"])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-vector", "--p", str(2**61 - 1)], ["heisenberg", "--n", "10000", "check", "--phi", "phi.json"]],
+)
+def test_exit_code_2_promptly_on_size_beyond_limit(argv):
+    # the size is refused before primality testing or reading any file
+    env = {**os.environ, "PYTHONPATH": str(Path(affinephase.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "affinephase.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert out.returncode == 2
+    assert "exceeds the size limit MAX_SIZE" in out.stderr
 
 
 def test_cli_import_pulls_in_no_scipy():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from affinephase.harmonics import convolve, dft, dft_matrix, diagonal_sums, idft
+from affinephase.harmonics import convolve, dft, dft_matrix, idft
 
 RNG = np.random.default_rng(20240817)
 
@@ -48,13 +48,3 @@ def test_convolution_theorem():
     f = RNG.normal(size=p) + 1j * RNG.normal(size=p)
     g = RNG.normal(size=p) + 1j * RNG.normal(size=p)
     assert np.allclose(dft(convolve(f, g)), np.sqrt(p) * dft(f) * dft(g), atol=1e-11)
-
-
-def test_diagonal_sums_against_direct_loop():
-    for n in (1, 2, 3, 6):
-        M = RNG.normal(size=(2, 3, n, n)) + 1j * RNG.normal(size=(2, 3, n, n))
-        out = diagonal_sums(M)
-        assert out.shape == (2, 3, n)
-        for d in range(n):
-            direct = sum(M[..., i, (i - d) % n] for i in range(n))
-            assert np.allclose(out[..., d], direct, atol=1e-13)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from affinephase.errors import InadmissibleGeneratorError
+from affinephase.errors import MAX_SIZE, InadmissibleGeneratorError
 from affinephase.heisenberg import (
     ambiguity,
     check_generator_h,
@@ -67,14 +69,29 @@ def test_ambiguity_against_direct_inner_products():
 
 
 def test_h_forward_against_direct_quadratic_forms():
-    for n in (2, 3, 4, 6, 9):
-        phi = rand_generator(n)
-        A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-        F = h_forward(A, phi)
-        for k in range(n):
-            for l in range(n):
-                w = schrodinger_matrix(k, l, n) @ phi
-                assert abs(F[k, l] - np.vdot(w, A @ w)) <= 1e-12 * np.max(np.abs(F)), (n, k, l)
+    for n in (2, 3, 4, 6, 9, 48):
+        # delta_0 has a vanishing ambiguity function
+        for phi in (rand_generator(n), np.eye(n)[0]):
+            A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+            F = h_forward(A, phi)
+            for k in range(n):
+                for l in range(n):
+                    w = schrodinger_matrix(k, l, n) @ phi
+                    assert abs(F[k, l] - np.vdot(w, A @ w)) <= 1e-12 * np.max(np.abs(F)), (n, k, l)
+
+
+def test_h_forward_peak_memory_at_n128():
+    # O(n^2) memory: n^3 intermediates would take 68 MB here
+    n = 128
+    phi = rand_generator(n)
+    A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+    tracemalloc.start()
+    try:
+        h_forward(A, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_delta_generator_inadmissible():
@@ -100,6 +117,12 @@ def test_recover_rejects_vanishing_ambiguity():
     delta[0] = 1.0
     with pytest.raises(InadmissibleGeneratorError, match="vanishes"):
         h_recover(np.zeros((n, n)), delta)
+
+
+def test_size_limit_named():
+    n = MAX_SIZE + 1
+    with pytest.raises(ValueError, match=f"n = {n} exceeds the size limit MAX_SIZE = {MAX_SIZE}"):
+        ambiguity(np.ones(n))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affinephase.errors import MAX_SIZE
 from affinephase.primefield import (
     character_table,
     inverse_table,
@@ -23,6 +24,13 @@ def test_validate_prime_rejects_even_and_composite():
     for bad in (0, 1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             validate_prime(bad)
+
+
+def test_size_limit_named_before_primality_test():
+    # 2^61 - 1 is prime; trial division up to its square root would take minutes
+    p = 2**61 - 1
+    with pytest.raises(ValueError, match=f"p = {p} exceeds the size limit MAX_SIZE = {MAX_SIZE}"):
+        validate_prime(p)
 
 
 def test_mod_inverse_all_units():

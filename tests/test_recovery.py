@@ -83,6 +83,11 @@ def generators(p):
     return canonical_generator(p), RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
 
 
+def inadmissible_generators(p):
+    """ones (c_phi vanishes), delta at label 1 and delta at label p-1 (rank-deficient B_phi)."""
+    return np.ones(p - 1), np.eye(p - 1)[0], np.eye(p - 1)[-1]
+
+
 def test_frame_vectors_match_pi_hat0_action():
     for p in (3, 5, 7, 13, 31):
         for phi in generators(p):
@@ -93,7 +98,7 @@ def test_frame_vectors_match_pi_hat0_action():
 
 def test_forward_measure_is_quadratic_form():
     for p in (3, 5, 7, 13, 31):
-        for phi in generators(p):
+        for phi in (*generators(p), *inadmissible_generators(p)):
             A = rand_matrix(p - 1)
             F = forward_measure(A, phi, p)
             scale = np.max(np.abs(F))
@@ -201,10 +206,8 @@ def test_oracle_full_map_rows():
     assert np.allclose(M @ A.reshape(-1), F, atol=1e-11)
 
 
-def test_round_trip_peak_memory_at_p101():
-    # the structured paths need O(p^3) memory at most; a stack of all p(p-1)
-    # dense pi_hat0 matrices would take 1.6 GB at p=101
-    p = 101
+def round_trip_peak(p):
+    """(tracemalloc peak in bytes, relative error) of one round trip at p."""
     phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
     A = rand_matrix(p - 1)
     tracemalloc.start()
@@ -213,8 +216,40 @@ def test_round_trip_peak_memory_at_p101():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, np.linalg.norm(rec - A) / np.linalg.norm(A)
+
+
+def test_round_trip_peak_memory_at_p101():
+    # a stack of all p(p-1) dense pi_hat0 matrices would take 1.6 GB at p=101
+    peak, err = round_trip_peak(101)
     assert peak < 100e6, peak
-    assert np.linalg.norm(rec - A) <= 1e-9 * np.linalg.norm(A)
+    assert err <= 1e-9
+
+
+def test_round_trip_peak_memory_at_p211():
+    # both directions hold O(p^2) memory; O(p^3) intermediates would take 300 MB
+    peak, err = round_trip_peak(211)
+    assert peak < 20e6, peak
+    assert err <= 1e-9
+
+
+def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
+    calls = {"svd": 0, "pinv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+    p = 13
+    phi = canonical_generator(p)
+    F = forward_measure(rand_matrix(p - 1), phi, p)
+    assert calls == {"svd": 0, "pinv": 0}
+    recover_matrix(F, phi, p)
+    assert calls == {"svd": 1, "pinv": 0}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
