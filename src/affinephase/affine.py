@@ -104,7 +104,7 @@ def dilation_index(p: int) -> np.ndarray:
 
 def _check_square(A, p: int) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if A.shape != (p - 1, p - 1):
+    if A.shape[-2:] != (p - 1, p - 1):
         raise ValueError(f"expected a matrix on {{1..{p - 1}}}^2, got shape {A.shape}")
     return A
 
@@ -116,7 +116,7 @@ def rho1_apply(x: AffineElement, A) -> np.ndarray:
     m = np.arange(1, p)
     rows = (x.l * m) % p - 1
     phase = np.exp(-2j * np.pi * x.k * m / p)
-    return (phase[:, None] * phase.conj()[None, :]) * A[np.ix_(rows, rows)]
+    return (phase[:, None] * phase.conj()[None, :]) * A[..., rows[:, None], rows]
 
 
 def rho2_apply(x: AffineElement, A) -> np.ndarray:
@@ -129,8 +129,8 @@ def rho2_apply(x: AffineElement, A) -> np.ndarray:
     A = _check_square(A, p)
     m = np.arange(1, p)
     rows = (x.l * m) % p - 1
-    out = A[rows, :].copy()
-    out[:, 1:] *= np.exp(-2j * np.pi * x.k * m / p)[:, None]
+    out = A[..., rows, :]
+    out[..., 1:] *= np.exp(-2j * np.pi * x.k * m / p)[:, None]
     return out
 
 
@@ -138,24 +138,25 @@ def s_apply(A) -> np.ndarray:
     """Entry-permutation intertwiner S with S rho1 S* = rho2.
 
     (SA)(m, 1) = A(-m, -m); (SA)(m, n) = A(m(1-n)^-1, mn(1-n)^-1) for n >= 2.
+    Like the other matrix actions here, it acts on the last two axes of a stack.
     """
-    p = len(A) + 1
+    p = np.shape(A)[-1] + 1
     A = _check_square(A, p)
     m = np.arange(1, p)[:, None]
     n = np.arange(1, p)[None, :]
     rows = m * inverse_table(p)[(1 - n) % p]
     rows[:, :1] = -m
-    return A[rows % p - 1, (rows * n) % p - 1]
+    return A[..., rows % p - 1, (rows * n) % p - 1]
 
 
 def s_inverse_apply(A) -> np.ndarray:
     """Inverse of S: (S*A)(m, m) = A(-m, 1); (S*A)(m, n) = A(m-n, m^-1 n) for m != n."""
-    p = len(A) + 1
+    p = np.shape(A)[-1] + 1
     A = _check_square(A, p)
     m = np.arange(1, p)[:, None]
     n = np.arange(1, p)[None, :]
-    rows = np.where(m == n, -m, m - n) % p
-    return A[rows - 1, (inverse_table(p)[m] * n) % p - 1]
+    rows = (np.where(m == n, -m, m - n) % p - 1) * (p - 1)  # flat index of row label m-n
+    return np.take(A.reshape(*A.shape[:-2], -1), rows + (inverse_table(p)[m] * n) % p - 1, -1)
 
 
 def omega0(p: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from math import perm
 
 import numpy as np
 
@@ -137,20 +138,34 @@ def full_spark(vectors) -> bool:
     return True
 
 
-def is_k_transitive(perms, k: int, n: int) -> bool:
-    """Brute-force k-fold transitivity check for a list of permutations of
-    {0..n-1} in one-line notation."""
-    perms = [tuple(h) for h in perms]
-    for h in perms:
+def _permutation_rows(perms, n: int) -> np.ndarray:
+    """``perms`` as an (N, n) integer array, checked by one sort against
+    0..n-1; the ValueError names the first row that is not a permutation."""
+    rows = perms if isinstance(perms, np.ndarray) else list(perms)
+    try:
+        H = np.asarray(rows).reshape(len(rows), n)
+        ok = H.dtype.kind in "biuf" and bool(np.all(np.sort(H, axis=1) == np.arange(n)))
+    except ValueError:  # ragged rows, or rows of another length
+        ok = False
+    for i, h in enumerate([] if ok else rows):
         if sorted(h) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {h}")
-    tuples = list(permutations(range(n), k))
-    target = set(tuples)
-    for u in tuples:
-        reached = {tuple(h[i] for i in u) for h in perms}
-        if reached != target:
-            return False
-    return True
+            raise ValueError(f"row {i} is not a permutation of 0..{n - 1}: {tuple(h)}")
+    return H.astype(np.int64)
+
+
+def is_k_transitive(perms, k: int, n: int) -> bool:
+    """k-fold transitivity of a list of permutations of {0..n-1} in one-line
+    notation (repeats allowed, no group assumed).  The images h(u) of the
+    M = n!/(n-k)! ordered k-tuples u, coded as base-n integers, form an (N, M)
+    array (via a k*N*M gather); the list is k-transitive iff after one sort
+    along the permutation axis every column holds M distinct codes."""
+    H = _permutation_rows(perms, n)
+    M = perm(n, k)
+    if len(H) < M:
+        return False
+    u = np.array(list(permutations(range(n), k)), dtype=np.int64).reshape(M, k)
+    codes = H[:, u] @ n ** np.arange(k - 1, -1, -1)
+    return bool(np.all(np.count_nonzero(np.diff(np.sort(codes, axis=0), axis=0), axis=0) == M - 1))
 
 
 def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...], complex]:
@@ -275,15 +290,12 @@ def verify_counterexample_n3() -> CounterexampleReport:
 
     # second counterexample: the constant vector c * 1 shares all frame
     # coefficient moduli with y; the correct scaling follows from <1, psi_1>
-    perms = [tuple(h) for h in permutations(range(3))]
     psi1 = np.array([1.0, -1.0, 0.0]) + 3**-0.5
     c = abs(1 - xi) / np.sqrt(3)
     w = c * np.ones(3)
-    cerr = 0.0
-    for h in perms:
-        frame_vec = np.array([psi1[_perm_inverse(h)[m]] for m in range(3)])
-        cerr = max(cerr, abs(abs(np.vdot(frame_vec, y)) - abs(1 - xi)))
-        cerr = max(cerr, abs(abs(np.vdot(frame_vec, w)) - abs(1 - xi)))
+    # frame vector of h: (Pi(h) psi_1)(m) = psi_1(h^-1(m)), and argsort inverts h
+    frame = psi1[np.argsort(list(permutations(range(3))), axis=1)]
+    cerr = float(np.max(np.abs(np.abs(frame @ np.stack([y, w], axis=1)) - abs(1 - xi))))
     coincidence_ok = cerr < 1e-12
 
     return CounterexampleReport(
@@ -298,13 +310,6 @@ def verify_counterexample_n3() -> CounterexampleReport:
         matching_constant="|1-xi|/sqrt(3)",
         orthogonal_to_y=bool(abs(np.vdot(w, y)) < 1e-12),
     )
-
-
-def _perm_inverse(h: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(h)
-    for i, j in enumerate(h):
-        inv[j] = i
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +444,21 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     On a support A = h({0,1,2}), h acts through the local permutation
     sigma(i) = position of h(i) in sorted A, which is the affine map
     m -> k + l*m of Z_3 (S(3) = Aff(Z_3)).  The measurements on A are thus
-    the affine frame magnitudes at p=3, and each patch is solved by
-    :func:`recovery.recover_vector` on the Fourier side of psi0, which also
-    checks psi0 for admissibility and the data for rank one.  The patches are
-    stitched by phase propagation.
+    the affine frame magnitudes at p=3 (repeats of one (A, sigma) are
+    averaged), and all patches are solved by one stacked
+    :func:`recovery.recover_vector` call on the Fourier side of psi0, which
+    also checks psi0 for admissibility and each patch for rank one.  The
+    patches are stitched by phase propagation.
     """
-    perms = [tuple(h) for h in perms]
-    if not perms:
+    perms = perms if isinstance(perms, np.ndarray) else list(perms)
+    if len(perms) == 0:
         raise ValueError("empty permutation list")
     n = len(perms[0])
     y = np.asarray(measurements, dtype=float)
     if y.shape != (len(perms),):
         raise ValueError("need one nonnegative magnitude per permutation")
-    if not is_k_transitive(perms, 3, n):
+    H = _permutation_rows(perms, n)
+    if not is_k_transitive(H, 3, n):
         raise ValueError("permutation list is not 3-fold transitive")
     if psi0 is None:
         psi0 = canonical_time_generator(3)
@@ -462,31 +469,25 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
         raise ValueError("psi0 must be zero-sum")
     phi = dft(psi0)[1:]
 
-    # group measurements by support and by the index (l-1)*3 + k of the
-    # affine map sigma(m) = k + l*m in the l-outer-k-inner order
-    by_support: dict[tuple[int, int, int], dict[int, list[float]]] = {}
-    for h, mag in zip(perms, y):
-        support = tuple(sorted(h[:3]))
-        k, s1 = support.index(h[0]), support.index(h[1])
-        index = ((s1 - k) % 3 - 1) * 3 + k
-        by_support.setdefault(support, {}).setdefault(index, []).append(float(mag))
-
-    patches = []
-    for support, groups in sorted(by_support.items()):
-        F = np.empty(6)  # 3-fold transitivity fills all six entries
-        for index, mlist in groups.items():
-            spread = max(mlist) - min(mlist)
-            if spread > 1e-8 * max(max(mlist), 1.0):
-                raise InconsistentDataError(
-                    f"repeated measurements disagree on patch {support}"
-                )
-            F[index] = np.mean(mlist) ** 2
-        try:
-            fhat = recovery.recover_vector(F, phi, 3)
-        except InconsistentDataError as exc:
-            raise InconsistentDataError(f"patch {support}: {exc}") from exc
-        patches.append(PatchData(support=support, values=idft(np.concatenate([[0.0], fhat]))))
-
+    # key each measurement by its support and by the index (l-1)*3 + k of the
+    # affine map sigma(m) = k + l*m, sigma(i) = pos[:, i], in l-outer-k-inner order
+    pos = np.sum(H[:, None, :3] < H[:, :3, None], axis=2)
+    index = ((pos[:, 1] - pos[:, 0]) % 3 - 1) * 3 + pos[:, 0]
+    supports, patch = np.unique(np.sort(H[:, :3], axis=1), axis=0, return_inverse=True)
+    supports = [tuple(a) for a in supports.tolist()]
+    cell = patch * 6 + index
+    y = y[np.argsort(cell, kind="stable")]
+    start = np.flatnonzero(np.diff(np.sort(cell), prepend=-1))  # 3-transitivity fills every cell
+    hi = np.maximum.reduceat(y, start)
+    bad = np.flatnonzero(hi - np.minimum.reduceat(y, start) > 1e-8 * np.maximum(hi, 1.0)) // 6
+    if bad.size:
+        raise InconsistentDataError(f"repeated measurements disagree on patch {supports[bad[0]]}")
+    F = (np.add.reduceat(y, start) / np.diff(start, append=len(y))).reshape(-1, 6) ** 2
+    try:
+        fhat = recovery.recover_vector(F, phi, 3)
+    except InconsistentDataError as exc:
+        raise InconsistentDataError(f"patch {supports[exc.record[0]]}: {exc}") from exc
+    patches = [PatchData(a, idft(np.concatenate([[0.0], f]))) for a, f in zip(supports, fhat)]
     g = phase_propagation_stitch(patches, n, tol=1e-7)
     return canonical_phase(g)
 

@@ -20,7 +20,7 @@ MAX_SIZE = 2500
 def require_finite(name: str, a) -> np.ndarray:
     """``a`` as a complex array; ValueError naming it if an entry is NaN or inf."""
     a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     return a
 
@@ -30,4 +30,8 @@ class InadmissibleGeneratorError(ValueError):
 
 
 class InconsistentDataError(RuntimeError):
-    """Numerically inconsistent data: tolerance exceeded during recovery."""
+    """Numerically inconsistent data; ``record`` indexes the failing record of a stack."""
+
+    def __init__(self, message: str, record: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.record = record

@@ -29,7 +29,7 @@ class AffineFourierCoefficients:
 def _check_group_function(F, p: int) -> np.ndarray:
     validate_prime(p)
     F = np.asarray(F, dtype=complex)
-    if F.shape != (p * (p - 1),):
+    if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(
             f"group function must have length p(p-1) = {p * (p - 1)}, got shape {F.shape}"
         )
@@ -37,10 +37,10 @@ def _check_group_function(F, p: int) -> np.ndarray:
 
 
 def chi_tilde_all(F, p: int) -> np.ndarray:
-    """All scalar components chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l)."""
+    """All scalar components chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), on the last axis."""
     F = _check_group_function(F, p)
-    per_l = F.reshape(p - 1, p).sum(axis=1)  # index l-1 (l-outer enumeration)
-    return character_table(p).values @ per_l
+    per_l = F.reshape(F.shape[:-1] + (p - 1, p)).sum(axis=-1)  # index l-1 (l-outer)
+    return (character_table(p).values @ per_l[..., None])[..., 0]  # one gemv per record
 
 
 def chi_tilde(F, j: int, p: int) -> complex:
@@ -52,11 +52,11 @@ def chi_tilde(F, j: int, p: int) -> complex:
 
 def pi_hat0_transform(F, p: int) -> np.ndarray:
     """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l); its entry
-    (m, lm) is sum_k F(k,l) e^{-2 pi i km/p}, one FFT over k per l."""
+    (m, lm) is sum_k F(k,l) e^{-2 pi i km/p}, one FFT over k per l (on the last axis)."""
     F = _check_group_function(F, p)
-    G = np.fft.fft(F.reshape(p - 1, p), axis=1)  # row l-1, column m
-    out = np.empty((p - 1, p - 1), dtype=complex)
-    out[np.arange(p - 1), dilation_index(p)] = G[:, 1:]
+    G = np.fft.fft(F.reshape(F.shape[:-1] + (p - 1, p)), axis=-1)  # row l-1, column m
+    out = np.empty(G.shape[:-1] + (p - 1,), dtype=complex)
+    out[..., np.arange(p - 1), dilation_index(p)] = G[..., 1:]
     return out
 
 

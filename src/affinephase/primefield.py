@@ -49,10 +49,13 @@ def mod_inverse(a: int, p: int) -> int:
     return pow(int(a), -1, p)
 
 
+@lru_cache(maxsize=None)
 def inverse_table(p: int) -> np.ndarray:
-    """Index array ``inv[a] = a^-1 mod p`` for a in {1..p-1}, and ``inv[0] = 0``."""
+    """Read-only index array ``inv[a] = a^-1 mod p`` for a in {1..p-1}, and ``inv[0] = 0``."""
     validate_prime(p)
-    return np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    inv.setflags(write=False)
+    return inv
 
 
 def _prime_factors(n: int) -> set[int]:

@@ -165,11 +165,12 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
 
     Steps: (1) character sums of F give the first column a_1 of SA,
     (2) the pi_hat0 component of F gives the block A_2' via the left
-    inverse of B_phi, (3) A = S*((a_1 | A_2')).
+    inverse of B_phi, (3) A = S*((a_1 | A_2')).  A stack F of shape
+    (..., p(p-1)) gives (..., p-1, p-1) from one factorization of B_phi.
     """
     phi = _check_phi(phi, p)
     F = require_finite("F", F)
-    if F.shape != (p * (p - 1),):
+    if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
     report, (U, sv, Vh) = _factor_generator(phi, p)
     if not report.admissible:
@@ -185,27 +186,26 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     table = character_table(p)
     # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k)
     s = chi_tilde_all(F, p)
-    a1 = table.values.T @ (s / report.cond_i_values) / (p * (p - 1))
+    a1 = (table.values.T @ (s / report.cond_i_values)[..., None])[..., 0] / (p * (p - 1))
     # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
     # the prefactor follows from Schur orthogonality of the unnormalized
     # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
     # reverses the columns, (B_phi^dagger)^* = U sigma^-1 V^H from the SVD
     # that decided condition (ii), and Omega1 scatters the columns.
-    A2p = np.empty((p - 1, p - 2), dtype=complex)
-    A2p[:, _omega1_index(p)] = pi_hat0_transform(F, p)[:, ::-1] @ (U / sv) @ Vh / p
+    A2p = np.empty(F.shape[:-1] + (p - 1, p - 2), dtype=complex)
+    A2p[..., _omega1_index(p)] = pi_hat0_transform(F, p)[..., ::-1] @ (U / sv) @ Vh / p
     # step 3
-    return s_inverse_apply(np.concatenate([a1[:, None], A2p], axis=1))
+    return s_inverse_apply(np.concatenate([a1[..., None], A2p], axis=-1))
 
 
 def canonical_phase(v) -> np.ndarray:
     """Rotate v so its largest-modulus entry is positive real (deterministic
-    representative of the equivalence class v * unit scalar)."""
+    representative of the equivalence class v * unit scalar) along the last axis."""
     v = np.asarray(v, dtype=complex)
-    i = int(np.argmax(np.abs(v)))
-    a = abs(v[i])
-    if a == 0:
-        return v.copy()
-    return v * (v[i].conj() / a)
+    flat = v.reshape(-1, v.shape[-1])
+    top = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)].reshape(v.shape[:-1] + (1,))
+    a = np.abs(top)
+    return v * (top.conj() / (a + (a == 0)))  # a zero vector stays zero
 
 
 def phase_distance(u, v) -> float:
@@ -234,20 +234,23 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
 
     The recovered matrix is Hermitian-symmetrized, the top eigenvector is
     scaled so that ||f||^2 = trace(A), and the output phase is normalized.
+    A stack F of shape (..., p(p-1)) gives (..., p-1) from one recover_matrix
+    call; rank one is tested per record, and the error names the first failure.
     """
     A = recover_matrix(F, phi, p)
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] <= np.finfo(float).tiny:
-        return np.zeros(p - 1, dtype=complex)
-    if sv[1] > RANK_ONE_RTOL * sv[0]:
+    nonzero = sv[..., :1] > np.finfo(float).tiny  # slices keep (..., 1): no 0-d arithmetic
+    bad = nonzero & (sv[..., 1:2] > RANK_ONE_RTOL * sv[..., :1])
+    if bad.any():
+        i = tuple(np.argwhere(bad[..., 0])[0].tolist())
         raise InconsistentDataError(
-            f"measurements inconsistent: recovered matrix is not rank-one "
-            f"(relative second singular value {sv[1] / sv[0]:.3e})"
-        )
-    H = (A + A.conj().T) / 2
+            (f"record {list(i)}: " if i else "") + "measurements inconsistent: recovered "
+            f"matrix is not rank-one (relative second singular value {sv[i][1] / sv[i][0]:.3e})",
+            record=i or None)
+    H = (A + A.conj().swapaxes(-1, -2)) / 2
     evals, evecs = np.linalg.eigh(H)
-    f = evecs[:, -1] * np.sqrt(max(float(np.trace(H).real), 0.0))
-    return canonical_phase(f)
+    norm = np.sqrt(np.maximum(np.trace(H, axis1=-2, axis2=-1).real, 0.0))[..., None] * nonzero
+    return canonical_phase(evecs[..., -1] * norm)
 
 
 def oracle_full_map(phi, p: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -79,6 +80,47 @@ def test_k_transitivity():
     assert is_k_transitive(S4, 3, 4)
     cyc = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
     assert not is_k_transitive(cyc, 2, 4)
+
+
+def brute_force_k_transitive(perms, k, n):
+    """Reference: for every ordered k-tuple u, the set of images h(u) over the
+    list must be the set of all ordered k-tuples."""
+    perms = [tuple(h) for h in perms]
+    tuples = list(permutations(range(n), k))
+    target = set(tuples)
+    for u in tuples:
+        reached = {tuple(h[i] for i in u) for h in perms}
+        if reached != target:
+            return False
+    return True
+
+
+def test_k_transitivity_against_brute_force_oracle():
+    rng = np.random.default_rng(5)
+    agree = positives = 0
+    for n in (3, 4, 5):
+        group = list(permutations(range(n)))
+        even = [h for h in group if sum(h[i] > h[j] for i in range(n) for j in range(i)) % 2 == 0]
+        lists = [[], group, group[::-1] + group[:7], group[1:], even, even + even[:3]]
+        for _ in range(12):
+            size = int(rng.integers(1, 2 * len(group)))
+            replace = size > len(group) or bool(rng.integers(2))  # duplicates
+            lists.append([group[i] for i in rng.choice(len(group), size, replace=replace)])
+        for perms in lists:
+            for k in range(n + 2):
+                expected = brute_force_k_transitive(perms, k, n)
+                assert is_k_transitive(perms, k, n) == expected, (n, k, len(perms))
+                assert is_k_transitive(np.array(perms, dtype=int).reshape(-1, n), k, n) == expected
+                agree += 1
+                positives += expected
+    assert positives > agree // 4  # both answers are exercised
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 2), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0.5, 1, 2)])
+def test_k_transitivity_names_the_offending_row(bad):
+    perms = [(0, 1, 2), (1, 2, 0), bad, (2, 0, 1)]
+    with pytest.raises(ValueError, match=r"row 2 is not a permutation of 0\.\.2"):
+        is_k_transitive(perms, 1, 3)
 
 
 def test_affine_group_is_doubly_transitive():
@@ -248,6 +290,37 @@ def test_three_transitive_rejects_disagreeing_repeats():
     meas = np.append(meas, meas[5] + 1e-3)
     with pytest.raises(InconsistentDataError, match="repeated measurements disagree"):
         three_transitive_phase_retrieval(meas, perms)
+
+
+def test_three_transitive_recovers_all_patches_in_one_call(monkeypatch):
+    from affinephase import recovery
+
+    calls = []
+    original = recovery.recover_vector
+
+    def counted(F, phi, p):
+        calls.append(np.shape(F))
+        return original(F, phi, p)
+
+    monkeypatch.setattr(recovery, "recover_vector", counted)
+    S5 = list(permutations(range(5)))
+    f = rand_zero_sum(5)
+    g = three_transitive_phase_retrieval(measurements_for(f, S5, canonical_time_generator(3)), S5)
+    assert calls == [(10, 6)]  # C(5,3) patches, six affine maps of Z_3 each
+    assert phase_distance(g, f) < 1e-6
+
+
+def test_three_transitive_names_patch_of_non_rank_one_data():
+    # on S(5) every (h(0), h(1), h(2)) is measured twice; scaling both copies
+    # keeps the repeats in agreement but leaves no rank-one solution
+    S5 = list(permutations(range(5)))
+    meas = measurements_for(rand_zero_sum(5), S5, canonical_time_generator(3))
+    h = S5[37]
+    twins = [i for i, g in enumerate(S5) if g[:3] == h[:3]]
+    assert len(twins) == 2
+    meas[twins] *= 1.5
+    with pytest.raises(InconsistentDataError, match=re.escape(f"patch {tuple(sorted(h[:3]))}: ")):
+        three_transitive_phase_retrieval(meas, S5)
 
 
 def test_three_transitive_requires_transitivity():

@@ -44,6 +44,15 @@ def test_mod_inverse_all_units():
         mod_inverse(0, 7)
 
 
+@pytest.mark.parametrize("p", [3, 13, 2477])
+def test_inverse_table_memoized_and_read_only(p):
+    inv = inverse_table(p)
+    assert inverse_table(p) is inv
+    assert inv.tolist() == [0] + [pow(a, -1, p) for a in range(1, p)]
+    with pytest.raises(ValueError):
+        inv[1] = 0
+
+
 def test_primitive_root_frozen_values():
     # smallest primitive roots, checked against classical tables
     expected = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2, 17: 3, 19: 2, 23: 5}

@@ -164,8 +164,12 @@ def test_recover_vector_rejects_inconsistent_measurements():
         np.abs(frame_vectors(phi, p).conj() @ f) ** 2
         + np.abs(frame_vectors(phi, p).conj() @ g) ** 2
     )
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(InconsistentDataError) as exc:
         recover_vector(F.astype(complex), phi, p)
+    assert str(exc.value).startswith(
+        "measurements inconsistent: recovered matrix is not rank-one (relative second singular value"
+    )
+    assert exc.value.record is None
 
 
 def test_canonical_phase_representative():
@@ -250,6 +254,46 @@ def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
     assert calls == {"svd": 0, "pinv": 0}
     recover_matrix(F, phi, p)
     assert calls == {"svd": 1, "pinv": 0}
+    recover_matrix(np.stack([F, 2 * F, F.conj()]), phi, p)
+    assert calls == {"svd": 2, "pinv": 0}
+
+
+def modulus_data(phi, p, f):
+    """|<f, pi_hat0(k,l) phi>|^2 for each vector f on the last axis."""
+    return np.abs(f @ frame_vectors(phi, p).conj().T) ** 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 31])
+def test_stacked_recovery_equals_per_record_loop(p):
+    n = p * (p - 1)
+    for phi in generators(p):
+        for shape in ((4,), (2, 3)):
+            A = RNG.normal(size=shape + (p - 1, p - 1)) + 1j * RNG.normal(size=shape + (p - 1, p - 1))
+            F = np.array([forward_measure(a, phi, p) for a in A.reshape(-1, p - 1, p - 1)])
+            stacked = recover_matrix(F.reshape(shape + (n,)), phi, p)
+            loop = np.array([recover_matrix(x, phi, p) for x in F]).reshape(stacked.shape)
+            assert np.array_equal(stacked, loop)
+            f = RNG.normal(size=shape + (p - 1,)) + 1j * RNG.normal(size=shape + (p - 1,))
+            Fv = modulus_data(phi, p, f)
+            stacked = recover_vector(Fv, phi, p)
+            loop = np.array([recover_vector(x, phi, p) for x in Fv.reshape(-1, n)])
+            assert np.array_equal(stacked, loop.reshape(stacked.shape))
+            assert max(phase_distance(g, x) for g, x in zip(loop, f.reshape(-1, p - 1))) < 1e-8
+    with pytest.raises(ValueError, match=rf"measurements must have length p\(p-1\) = {n}"):
+        recover_matrix(np.zeros((2, n + 1)), phi, p)
+
+
+def test_stacked_rank_one_failure_names_the_record():
+    p = 5
+    phi = canonical_generator(p)
+    f = RNG.normal(size=(2, 3, p - 1)) + 1j * RNG.normal(size=(2, 3, p - 1))
+    F = modulus_data(phi, p, f)
+    F[1, 2] = 0.5 * (F[1, 2] + F[0, 0])  # mixes two vectors: not rank-one
+    for stack, where, record in ((F, "[1, 2]", (1, 2)), (F.reshape(6, -1), "[5]", (5,))):
+        with pytest.raises(InconsistentDataError) as exc:
+            recover_vector(stack, phi, p)
+        assert str(exc.value).startswith(f"record {where}: measurements inconsistent: recovered")
+        assert exc.value.record == record
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
