@@ -16,9 +16,11 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import TABLE_CACHE_SIZE
 from .primefield import inverse_table, mod_inverse, validate_prime
 
 
@@ -94,12 +96,47 @@ def pi_hat0_matrix(x: AffineElement) -> np.ndarray:
     return M
 
 
-def dilation_index(p: int) -> np.ndarray:
-    """Entry [l-1, m-1] is the array index (lm mod p) - 1, for l, m in {1..p-1};
-    pi_hat0(k,l) is nonzero exactly at the entries (m-1, [l-1, m-1])."""
+@dataclass(frozen=True)
+class IndexTables:
+    """The index maps of the kernels on Z_p x| Z_p*, fixed by p alone: read-only
+    intp arrays, the (p-1)x(p-1) ones gathers from a flat array."""
+
+    dilation: np.ndarray  # [l-1, m-1] = (lm mod p) - 1, where pi_hat0(k,l) row m-1 is nonzero
+    s: np.ndarray  # S, from a (p-1)x(p-1) matrix
+    s_inverse: np.ndarray  # S*, from a (p-1)x(p-1) matrix
+    pi_hat0: np.ndarray  # pi_hat0(F), from the (p-1) x p FFTs over k (row l-1, column m)
+    pi_hat0_support: np.ndarray  # [l-1, m-1]: the entry (m-1, dilation[l-1, m-1])
+    omega1: np.ndarray  # [n-1] = n^-1 - 1, the column of label 1 + n^-1 (p-2 entries)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def index_tables(p: int) -> IndexTables:
+    """The :class:`IndexTables` of p, built once and kept for the last
+    ``TABLE_CACHE_SIZE`` moduli used."""
     validate_prime(p)
-    m = np.arange(1, p)
-    return np.outer(m, m) % p - 1
+    inv = inverse_table(p)
+    m = np.arange(1, p)[:, None]
+    n = np.arange(1, p)[None, :]
+    dilation = (m * n) % p - 1
+    # (SA)(m, 1) = A(-m, -m); (SA)(m, n) = A(m(1-n)^-1, mn(1-n)^-1) for n >= 2
+    rows = m * inv[(1 - n) % p]
+    rows[:, :1] = -m
+    s = (rows % p - 1) * (p - 1) + (rows * n) % p - 1
+    # (S*A)(m, m) = A(-m, 1); (S*A)(m, n) = A(m-n, m^-1 n) for m != n
+    s_inverse = (np.where(m == n, -m, m - n) % p - 1) * (p - 1) + (inv[m] * n) % p - 1
+    # pi_hat0(F)[m-1, n-1] is the FFT at frequency m of row l = m^-1 n
+    tables = IndexTables(dilation, s, s_inverse, dilation[inv[m[:, 0]] - 1] * p + m,
+                         (n - 1) * (p - 1) + dilation, inv[1 : p - 1] - 1)
+    for a in vars(tables).values():
+        a.setflags(write=False)
+    return tables
+
+
+def dilation_index(p: int) -> np.ndarray:
+    """Read-only; entry [l-1, m-1] is the array index (lm mod p) - 1, for l, m in
+    {1..p-1}; pi_hat0(k,l) is nonzero exactly at the entries (m-1, [l-1, m-1])."""
+    validate_prime(p)
+    return index_tables(p).dilation
 
 
 def _check_square(A, p: int) -> np.ndarray:
@@ -142,21 +179,14 @@ def s_apply(A) -> np.ndarray:
     """
     p = np.shape(A)[-1] + 1
     A = _check_square(A, p)
-    m = np.arange(1, p)[:, None]
-    n = np.arange(1, p)[None, :]
-    rows = m * inverse_table(p)[(1 - n) % p]
-    rows[:, :1] = -m
-    return A[..., rows % p - 1, (rows * n) % p - 1]
+    return np.take(A.reshape(*A.shape[:-2], -1), index_tables(p).s, -1)
 
 
 def s_inverse_apply(A) -> np.ndarray:
     """Inverse of S: (S*A)(m, m) = A(-m, 1); (S*A)(m, n) = A(m-n, m^-1 n) for m != n."""
     p = np.shape(A)[-1] + 1
     A = _check_square(A, p)
-    m = np.arange(1, p)[:, None]
-    n = np.arange(1, p)[None, :]
-    rows = (np.where(m == n, -m, m - n) % p - 1) * (p - 1)  # flat index of row label m-n
-    return np.take(A.reshape(*A.shape[:-2], -1), rows + (inverse_table(p)[m] * n) % p - 1, -1)
+    return np.take(A.reshape(*A.shape[:-2], -1), index_tables(p).s_inverse, -1)
 
 
 def omega0(p: int) -> np.ndarray:

@@ -457,6 +457,8 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     y = np.asarray(measurements, dtype=float)
     if y.shape != (len(perms),):
         raise ValueError("need one nonnegative magnitude per permutation")
+    if (y < 0).any():
+        raise ValueError(f"magnitude {int(np.argmax(y < 0))} is negative; need nonnegative ones")
     H = _permutation_rows(perms, n)
     if not is_k_transitive(H, 3, n):
         raise ValueError("permutation list is not 3-fold transitive")

@@ -13,8 +13,14 @@ RANK_RTOL = 1e-10
 
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
-#: is about 0.9 GB at this limit.  Checked before any primality test.
+#: is about 0.9 GB at this limit.  Each cached p keeps its character table, 16 (p-1)^2
+#: bytes, and its index tables, at most 5 (p-1)^2 + p intp entries or 40 (p-1)^2 + 8p
+#: bytes: about 350 MB per p at this limit.  Checked before any primality test.
 MAX_SIZE = 2500
+
+#: How many moduli keep their read-only tables between calls (least recently used
+#: first out); two, so that alternating between two moduli rebuilds nothing.
+TABLE_CACHE_SIZE = 2
 
 
 def require_finite(name: str, a) -> np.ndarray:

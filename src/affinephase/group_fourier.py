@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import dilation_index
+from .affine import index_tables
 from .primefield import character_table, validate_prime
 
 
@@ -55,18 +55,12 @@ def pi_hat0_transform(F, p: int) -> np.ndarray:
     (m, lm) is sum_k F(k,l) e^{-2 pi i km/p}, one FFT over k per l (on the last axis)."""
     F = _check_group_function(F, p)
     G = np.fft.fft(F.reshape(F.shape[:-1] + (p - 1, p)), axis=-1)  # row l-1, column m
-    out = np.empty(G.shape[:-1] + (p - 1,), dtype=complex)
-    out[..., np.arange(p - 1), dilation_index(p)] = G[..., 1:]
-    return out
+    return np.take(G.reshape(F.shape), index_tables(p).pi_hat0, -1)
 
 
 def transform(F, p: int) -> AffineFourierCoefficients:
     """Full group Fourier transform of F."""
-    return AffineFourierCoefficients(
-        p=p,
-        scalar_part=chi_tilde_all(F, p),
-        matrix_part=pi_hat0_transform(F, p),
-    )
+    return AffineFourierCoefficients(p, chi_tilde_all(F, p), pi_hat0_transform(F, p))
 
 
 def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
@@ -79,13 +73,12 @@ def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
         raise ValueError(f"scalar part must have p-1 = {p - 1} entries, got {s.shape}")
     if M.shape != (p - 1, p - 1):
         raise ValueError(f"matrix part must be (p-1)x(p-1), got {M.shape}")
-    table = character_table(p)
-    # scalar contribution per l, constant in k
-    per_l = table.values.conj().T @ s  # index l-1
+    # scalar contribution per l, constant in k; conj(X)^T s without conjugating X
+    per_l = (character_table(p).values.T @ s.conj()).conj()  # index l-1
     scalar_term = np.repeat(per_l, p)  # l-outer, k-inner
     # tr(M pi_hat0(k,l)^*) = sum_m M(m, lm) e^{2 pi i km/p}, one inverse FFT per l
     G = np.zeros((p - 1, p), dtype=complex)
-    G[:, 1:] = M[np.arange(p - 1), dilation_index(p)]
+    G[:, 1:] = np.take(M, index_tables(p).pi_hat0_support)
     matrix_term = (p - 1) * p * np.fft.ifft(G, axis=1).reshape(-1)
     return (scalar_term + matrix_term) / (p * (p - 1))
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MAX_SIZE
+from .errors import MAX_SIZE, TABLE_CACHE_SIZE
 
 
 def is_prime(n: int) -> bool:
@@ -105,7 +105,7 @@ class CharacterTable:
         return complex(self.values[j, l - 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def character_table(p: int) -> CharacterTable:
     """Build the full character table of Z_p*."""
     validate_prime(p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import dilation_index, s_apply, s_inverse_apply
+from .affine import dilation_index, index_tables, s_apply, s_inverse_apply
 from .errors import RANK_RTOL, InadmissibleGeneratorError, InconsistentDataError, require_finite
 from .group_fourier import (
     AffineFourierCoefficients,
@@ -33,7 +33,7 @@ from .group_fourier import (
     fourier_invert,
     pi_hat0_transform,
 )
-from .primefield import character_table, inverse_table, validate_prime
+from .primefield import character_table, validate_prime
 
 
 def _check_phi(phi, p: int) -> np.ndarray:
@@ -47,17 +47,15 @@ def _check_phi(phi, p: int) -> np.ndarray:
 def c_phi(phi, p: int) -> np.ndarray:
     """Character sums c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}."""
     phi = _check_phi(phi, p)
-    l = np.arange(1, p)
-    h = np.abs(phi[(p - l) - 1]) ** 2  # |phi(-l)|^2 at index l-1
+    h = np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at index l-1
     return character_table(p).values @ h
 
 
 def b_phi(phi, p: int) -> np.ndarray:
     """B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}."""
     phi = _check_phi(phi, p)
-    m = np.arange(1, p)[:, None]
-    n = np.arange(1, p - 1)[None, :]
-    return phi[(m * n) % p - 1] * phi[(m * (n + 1)) % p - 1].conj()
+    g = phi[index_tables(p).dilation]  # g[m-1, n-1] = phi(mn)
+    return g[:, :-1] * g[:, 1:].conj()
 
 
 @dataclass(frozen=True)
@@ -136,11 +134,6 @@ def frame_vectors(phi, p: int) -> np.ndarray:
     return W.reshape(p * (p - 1), p - 1)
 
 
-def _omega1_index(p: int) -> np.ndarray:
-    """Entry n-1 is the column index n^-1 - 1 of label 1 + n^-1: Omega1 as a gather."""
-    return inverse_table(p)[1 : p - 1] - 1
-
-
 def forward_measure(A, phi, p: int) -> np.ndarray:
     """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>.
 
@@ -154,9 +147,9 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
     if A.shape != (p - 1, p - 1):
         raise ValueError(f"matrix must be (p-1)x(p-1) = {(p - 1, p - 1)}, got {A.shape}")
     SA = s_apply(A)
-    s = p * c_phi(phi, p) * (character_table(p).values.conj() @ SA[:, 0])
+    s = p * c_phi(phi, p) * (character_table(p).values @ SA[:, 0].conj()).conj()
     # Omega1^T is a column gather; right-multiplying by Omega0 reverses the columns
-    M = p * (SA[:, 1:][:, _omega1_index(p)] @ b_phi(phi, p).conj().T)[:, ::-1]
+    M = p * (SA[:, 1:][:, index_tables(p).omega1] @ b_phi(phi, p).conj().T)[:, ::-1]
     return fourier_invert(AffineFourierCoefficients(p, s, M))
 
 
@@ -193,7 +186,7 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     # reverses the columns, (B_phi^dagger)^* = U sigma^-1 V^H from the SVD
     # that decided condition (ii), and Omega1 scatters the columns.
     A2p = np.empty(F.shape[:-1] + (p - 1, p - 2), dtype=complex)
-    A2p[..., _omega1_index(p)] = pi_hat0_transform(F, p)[..., ::-1] @ (U / sv) @ Vh / p
+    A2p[..., index_tables(p).omega1] = pi_hat0_transform(F, p)[..., ::-1] @ (U / sv) @ Vh / p
     # step 3
     return s_inverse_apply(np.concatenate([a1[..., None], A2p], axis=-1))
 

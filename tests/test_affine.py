@@ -7,6 +7,7 @@ from affinephase.affine import (
     dilation_index,
     element_index,
     enumerate_group,
+    index_tables,
     omega0,
     omega1,
     pi_hat0_matrix,
@@ -17,8 +18,10 @@ from affinephase.affine import (
     s_apply,
     s_inverse_apply,
 )
+from affinephase.errors import TABLE_CACHE_SIZE
 from affinephase.harmonics import dft_matrix
-from affinephase.primefield import mod_inverse
+from affinephase.primefield import character_table, mod_inverse
+from affinephase.recovery import forward_measure, recover_matrix
 
 RNG = np.random.default_rng(20240817)
 PRIMES = (3, 5, 7)
@@ -205,3 +208,73 @@ def test_omega1_is_permutation_of_claimed_bijection():
         for n in range(1, p - 1):
             target = (1 + mod_inverse(n, p)) % p
             assert abs(g[n - 1] - f[target - 2]) < 1e-14
+
+
+def per_call_index_maps(p):
+    """The index arithmetic the kernels redid on every call before the per-p
+    tables, kept here as the oracle for them."""
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    m = np.arange(1, p)[:, None]
+    n = np.arange(1, p)[None, :]
+    dilation = np.outer(m, m) % p - 1
+    rows = m * inv[(1 - n) % p]  # s_apply
+    rows[:, :1] = -m
+    s = (rows % p - 1) * (p - 1) + (rows * n) % p - 1
+    s_inverse = (np.where(m == n, -m, m - n) % p - 1) * (p - 1) + (inv[m] * n) % p - 1
+    # pi_hat0_transform scattered the FFTs G[..., 1:] to [arange(p-1), dilation];
+    # scattering the flat positions of G gives the gather that replaces it
+    pi_hat0 = np.empty((p - 1, p - 1), dtype=int)
+    pi_hat0[np.arange(p - 1), dilation] = np.arange(p * (p - 1)).reshape(p - 1, p)[:, 1:]
+    # fourier_invert gathered M[arange(p-1), dilation]
+    support = np.arange((p - 1) ** 2).reshape(p - 1, p - 1)[np.arange(p - 1), dilation]
+    # b_phi gathered phi at mn and m(n+1), n in {1..p-2}
+    b_rows = (m * n[:, :-1]) % p - 1
+    b_cols = (m * (n[:, :-1] + 1)) % p - 1
+    omega1 = inv[1 : p - 1] - 1
+    return dilation, s, s_inverse, pi_hat0, support, b_rows, b_cols, omega1
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 61])
+def test_index_tables_memoized_read_only_and_equal_to_per_call_maps(p):
+    tables = index_tables(p)
+    assert index_tables(p) is tables
+    assert dilation_index(p) is tables.dilation
+    arrays = vars(tables)
+    for name, a in arrays.items():
+        assert a.dtype == np.intp, name
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    dilation, s, s_inverse, pi_hat0, support, b_rows, b_cols, omega1 = per_call_index_maps(p)
+    assert np.array_equal(tables.dilation, dilation)
+    assert np.array_equal(tables.s, s)
+    assert np.array_equal(tables.s_inverse, s_inverse)
+    assert np.array_equal(tables.pi_hat0, pi_hat0)
+    assert np.array_equal(tables.pi_hat0_support, support)
+    # b_phi reads its row/column pair off the dilation index
+    assert np.array_equal(tables.dilation[:, :-1], b_rows)
+    assert np.array_equal(tables.dilation[:, 1:], b_cols)
+    assert np.array_equal(tables.omega1, omega1)
+
+
+def test_table_caches_are_bounded():
+    assert TABLE_CACHE_SIZE >= 2  # two alternating moduli must not rebuild
+    assert index_tables.cache_info().maxsize == TABLE_CACHE_SIZE
+    assert character_table.cache_info().maxsize == TABLE_CACHE_SIZE
+
+
+def test_repeated_round_trip_builds_no_table():
+    p = 61
+    phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    A = rand_matrix(p - 1)
+    recover_matrix(forward_measure(A, phi, p), phi, p)
+    misses = (index_tables.cache_info().misses, character_table.cache_info().misses)
+    F = forward_measure(A, phi, p)
+    recover_matrix(F, phi, p)
+    assert (index_tables.cache_info().misses, character_table.cache_info().misses) == misses
+
+
+def test_index_tables_within_stated_bytes():
+    # errors.MAX_SIZE: at most 5 (p-1)^2 + p intp entries per cached p
+    p = 211
+    nbytes = sum(a.nbytes for a in vars(index_tables(p)).values())
+    assert nbytes <= (5 * (p - 1) ** 2 + p) * np.dtype(np.intp).itemsize, nbytes

@@ -323,6 +323,15 @@ def test_three_transitive_names_patch_of_non_rank_one_data():
         three_transitive_phase_retrieval(meas, S5)
 
 
+def test_three_transitive_rejects_negative_magnitudes():
+    # the data are squared before recovery, so a sign would otherwise be dropped
+    S4 = list(permutations(range(4)))
+    meas = measurements_for(rand_zero_sum(4), S4, canonical_time_generator(3))
+    meas[7] = -meas[7]
+    with pytest.raises(ValueError, match=r"magnitude 7 is negative"):
+        three_transitive_phase_retrieval(meas, S4)
+
+
 def test_three_transitive_requires_transitivity():
     cyc = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
     with pytest.raises(ValueError, match="transitive"):
