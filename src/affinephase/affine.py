@@ -56,7 +56,7 @@ class AffineElement:
 
 def enumerate_group(p: int) -> list[AffineElement]:
     """All p(p-1) elements, l outer ascending, k inner ascending."""
-    validate_prime(p)
+    p = validate_prime(p)
     return [AffineElement(k, l, p) for l in range(1, p) for k in range(p)]
 
 
@@ -113,7 +113,7 @@ class IndexTables:
 def index_tables(p: int) -> IndexTables:
     """The :class:`IndexTables` of p, built once and kept for the last
     ``TABLE_CACHE_SIZE`` moduli used."""
-    validate_prime(p)
+    p = validate_prime(p)
     inv = inverse_table(p)
     m = np.arange(1, p)[:, None]
     n = np.arange(1, p)[None, :]
@@ -135,8 +135,7 @@ def index_tables(p: int) -> IndexTables:
 def dilation_index(p: int) -> np.ndarray:
     """Read-only; entry [l-1, m-1] is the array index (lm mod p) - 1, for l, m in
     {1..p-1}; pi_hat0(k,l) is nonzero exactly at the entries (m-1, [l-1, m-1])."""
-    validate_prime(p)
-    return index_tables(p).dilation
+    return index_tables(validate_prime(p)).dilation
 
 
 def _check_square(A, p: int) -> np.ndarray:
@@ -191,7 +190,7 @@ def s_inverse_apply(A) -> np.ndarray:
 
 def omega0(p: int) -> np.ndarray:
     """Sign-flip permutation on {1..p-1}: (Omega0 f)(m) = f(-m).  Test oracle only."""
-    validate_prime(p)
+    p = validate_prime(p)
     M = np.zeros((p - 1, p - 1), dtype=complex)
     m = np.arange(1, p)
     M[m - 1, (p - m) - 1] = 1.0
@@ -204,7 +203,7 @@ def omega1(p: int) -> np.ndarray:
     Rows are labelled {1..p-2}, columns {2..p-1} (column index j for label
     j+2); omega(n) = 1 + n^-1 is a bijection {1..p-2} -> {2..p-1}.  Test oracle only.
     """
-    validate_prime(p)
+    p = validate_prime(p)
     M = np.zeros((p - 2, p - 2), dtype=complex)
     n = np.arange(1, p - 1)
     M[n - 1, inverse_table(p)[n] - 1] = 1.0  # column index of label 1 + n^-1

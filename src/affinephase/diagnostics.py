@@ -566,7 +566,7 @@ def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
     generator equals the frequency-deleted copy P_{l^-1} f, so the moduli
     feed directly into the matrix-recovery pipeline on the Fourier side.
     """
-    validate_prime(p)
+    p = validate_prime(p)
     if p < 5:
         raise ValueError("frequency-deletion retrieval needs p >= 5")
     moduli = np.asarray(moduli, dtype=float)

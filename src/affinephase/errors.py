@@ -15,11 +15,13 @@ RANK_RTOL = 1e-10
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
 #: is about 0.9 GB at this limit.  Each cached p keeps its character table, 16 (p-1)^2
 #: bytes, and its index tables, at most 5 (p-1)^2 + p intp entries or 40 (p-1)^2 + 8p
-#: bytes: about 350 MB per p at this limit.  Checked before any primality test.
+#: bytes: about 350 MB per p at this limit.  Each cached generator keeps c_phi, B_phi
+#: and the SVD factors U / sigma and V^H, about 48 (p-1)^2 bytes: ~294 MB at p = 2477.
+#: Checked before any primality test.
 MAX_SIZE = 2500
 
-#: How many moduli keep their read-only tables between calls (least recently used
-#: first out); two, so that alternating between two moduli rebuilds nothing.
+#: How many moduli (and generators) keep their read-only tables between calls (least
+#: recently used first out); two, so that alternating between two rebuilds nothing.
 TABLE_CACHE_SIZE = 2
 
 

@@ -26,19 +26,19 @@ class AffineFourierCoefficients:
     matrix_part: np.ndarray
 
 
-def _check_group_function(F, p: int) -> np.ndarray:
-    validate_prime(p)
+def _check_group_function(F, p: int) -> tuple[np.ndarray, int]:
+    p = validate_prime(p)
     F = np.asarray(F, dtype=complex)
     if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(
             f"group function must have length p(p-1) = {p * (p - 1)}, got shape {F.shape}"
         )
-    return F
+    return F, p
 
 
 def chi_tilde_all(F, p: int) -> np.ndarray:
     """All scalar components chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), on the last axis."""
-    F = _check_group_function(F, p)
+    F, p = _check_group_function(F, p)
     per_l = F.reshape(F.shape[:-1] + (p - 1, p)).sum(axis=-1)  # index l-1 (l-outer)
     return (character_table(p).values @ per_l[..., None])[..., 0]  # one gemv per record
 
@@ -53,7 +53,7 @@ def chi_tilde(F, j: int, p: int) -> complex:
 def pi_hat0_transform(F, p: int) -> np.ndarray:
     """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l); its entry
     (m, lm) is sum_k F(k,l) e^{-2 pi i km/p}, one FFT over k per l (on the last axis)."""
-    F = _check_group_function(F, p)
+    F, p = _check_group_function(F, p)
     G = np.fft.fft(F.reshape(F.shape[:-1] + (p - 1, p)), axis=-1)  # row l-1, column m
     return np.take(G.reshape(F.shape), index_tables(p).pi_hat0, -1)
 
@@ -65,8 +65,7 @@ def transform(F, p: int) -> AffineFourierCoefficients:
 
 def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
     """Inverse transform: F(k,l) = |G|^-1 [sum_j s_j conj(chi_j(l)) + (p-1) tr(M pi_hat0(k,l)^*)]."""
-    p = coeffs.p
-    validate_prime(p)
+    p = validate_prime(coeffs.p)
     s = np.asarray(coeffs.scalar_part, dtype=complex)
     M = np.asarray(coeffs.matrix_part, dtype=complex)
     if s.shape != (p - 1,):
@@ -85,7 +84,7 @@ def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
 
 def plancherel_sides(F, p: int) -> tuple[float, float]:
     """(||F||^2, |G|^-1 [sum_j |chi~_j(F)|^2 + (p-1) ||pi_hat0(F)||^2])."""
-    F = _check_group_function(F, p)
+    F, p = _check_group_function(F, p)
     c = transform(F, p)
     lhs = float(np.vdot(F, F).real)
     rhs = float(

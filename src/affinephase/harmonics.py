@@ -12,8 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import TABLE_CACHE_SIZE
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def dft_matrix(p: int) -> np.ndarray:
     """The unitary p x p Fourier matrix U[m, n] = p**-0.5 * exp(-2*pi*i*n*m/p)."""
     if p < 1:

@@ -31,19 +31,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def validate_prime(p: int) -> None:
-    """Require an odd prime 3 <= p <= MAX_SIZE."""
+def validate_prime(p: int) -> int:
+    """Require an odd prime 3 <= p <= MAX_SIZE; return it as an ``int``, so that
+    ``np.int64(13)`` and ``13`` share every per-p cache entry."""
     if not isinstance(p, (int, np.integer)):
         raise ValueError(f"modulus must be an integer, got {type(p).__name__}")
     if p > MAX_SIZE:
         raise ValueError(f"modulus p = {p} exceeds the size limit MAX_SIZE = {MAX_SIZE}")
     if p < 3 or not is_prime(int(p)):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
+    return int(p)
 
 
 def mod_inverse(a: int, p: int) -> int:
     """Multiplicative inverse of a mod p, as a representative in {1..p-1}."""
-    validate_prime(p)
+    p = validate_prime(p)
     if a % p == 0:
         raise ValueError(f"{a} is not invertible mod {p}")
     return pow(int(a), -1, p)
@@ -52,7 +54,7 @@ def mod_inverse(a: int, p: int) -> int:
 @lru_cache(maxsize=None)
 def inverse_table(p: int) -> np.ndarray:
     """Read-only index array ``inv[a] = a^-1 mod p`` for a in {1..p-1}, and ``inv[0] = 0``."""
-    validate_prime(p)
+    p = validate_prime(p)
     inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
     inv.setflags(write=False)
     return inv
@@ -74,7 +76,7 @@ def _prime_factors(n: int) -> set[int]:
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest generator of the cyclic group Z_p*."""
-    validate_prime(p)
+    p = validate_prime(p)
     order = p - 1
     factors = _prime_factors(order)
     for g in range(2, p):
@@ -108,7 +110,7 @@ class CharacterTable:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def character_table(p: int) -> CharacterTable:
     """Build the full character table of Z_p*."""
-    validate_prime(p)
+    p = validate_prime(p)
     g = primitive_root(p)
     dlog = np.empty(p - 1, dtype=np.int64)
     x = 1

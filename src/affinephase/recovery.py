@@ -22,11 +22,13 @@ path with the structured algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .affine import dilation_index, index_tables, s_apply, s_inverse_apply
-from .errors import RANK_RTOL, InadmissibleGeneratorError, InconsistentDataError, require_finite
+from .errors import (RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
+                     InconsistentDataError, require_finite)
 from .group_fourier import (
     AffineFourierCoefficients,
     chi_tilde_all,
@@ -36,24 +38,24 @@ from .group_fourier import (
 from .primefield import character_table, validate_prime
 
 
-def _check_phi(phi, p: int) -> np.ndarray:
-    validate_prime(p)
+def _check_phi(phi, p: int) -> tuple[np.ndarray, int]:
+    p = validate_prime(p)
     phi = require_finite("phi", phi)
     if phi.shape != (p - 1,):
         raise ValueError(f"generator must live on {{1..{p - 1}}}, got shape {phi.shape}")
-    return phi
+    return phi, p
 
 
 def c_phi(phi, p: int) -> np.ndarray:
     """Character sums c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}."""
-    phi = _check_phi(phi, p)
+    phi, p = _check_phi(phi, p)
     h = np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at index l-1
     return character_table(p).values @ h
 
 
 def b_phi(phi, p: int) -> np.ndarray:
     """B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}."""
-    phi = _check_phi(phi, p)
+    phi, p = _check_phi(phi, p)
     g = phi[index_tables(p).dilation]  # g[m-1, n-1] = phi(mn)
     return g[:, :-1] * g[:, 1:].conj()
 
@@ -69,31 +71,49 @@ class GeneratorReport:
     admissible: bool
 
 
-def _factor_generator(phi: np.ndarray, p: int) -> tuple[GeneratorReport, tuple]:
-    """Both admissibility conditions, and the thin SVD (U, sigma, V^H) of
-    B_phi that condition (ii) was read from."""
-    c = c_phi(phi, p)
-    scale = max(float(np.vdot(phi, phi).real), np.finfo(float).tiny)
-    cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
-    B = b_phi(phi, p)
-    U, sv, Vh = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
-    cond_ii = rank == p - 2
-    report = GeneratorReport(
-        p=p,
-        cond_i_values=c,
-        cond_i_holds=cond_i,
-        b_phi=B,
-        b_phi_rank=rank,
-        cond_ii_holds=cond_ii,
-        admissible=cond_i and cond_ii,
-    )
-    return report, (U, sv, Vh)
+class _GeneratorPlan:
+    """What the forward map and recovery need of one generator: c_phi and B_phi,
+    and on first use the thin SVD of B_phi.  Every array it holds is read-only."""
+
+    def __init__(self, phi: np.ndarray, p: int):
+        self.phi, self.p = phi, p
+        self.c, self.B = c_phi(phi, p), b_phi(phi, p)
+        for a in (self.c, self.B):
+            a.setflags(write=False)
+
+    @cached_property
+    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray]:
+        """Both admissibility conditions, and the factors U / sigma and V^H of the
+        thin SVD of B_phi that condition (ii) was read from (U / sigma is None
+        when the rank is short)."""
+        p, c, B = self.p, self.c, self.B
+        scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
+        cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
+        U, sv, Vh = np.linalg.svd(B, full_matrices=False)
+        rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
+        cond_ii = rank == p - 2
+        report = GeneratorReport(p=p, cond_i_values=c, cond_i_holds=cond_i, b_phi=B,
+                                 b_phi_rank=rank, cond_ii_holds=cond_ii,
+                                 admissible=cond_i and cond_ii)
+        left = U / sv if cond_ii else None
+        for a in (left, Vh):
+            if a is not None:
+                a.setflags(write=False)
+        return report, left, Vh
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _generator_plan(p: int, phi_bytes: bytes) -> _GeneratorPlan:
+    """The plan of the validated generator with these bytes, kept for the last
+    ``TABLE_CACHE_SIZE`` generators used: an equal phi in a new array shares it,
+    and a phi changed in place gets a new one."""
+    return _GeneratorPlan(np.frombuffer(phi_bytes, dtype=complex), p)
 
 
 def check_generator(phi, p: int) -> GeneratorReport:
     """Evaluate both admissibility conditions for phi."""
-    return _factor_generator(_check_phi(phi, p), p)[0]
+    phi, p = _check_phi(phi, p)
+    return _generator_plan(p, phi.tobytes()).factors[0]
 
 
 def canonical_generator(p: int) -> np.ndarray:
@@ -128,7 +148,7 @@ def canonical_time_generator(p: int) -> np.ndarray:
 def frame_vectors(phi, p: int) -> np.ndarray:
     """All orbit vectors pi_hat0(k,l) phi stacked in canonical group order:
     row (l-1)p + k holds m -> e^{-2 pi i km/p} phi(lm)."""
-    phi = _check_phi(phi, p)
+    phi, p = _check_phi(phi, p)
     km = np.outer(np.arange(p), np.arange(1, p)) % p
     W = np.exp(-2j * np.pi * km / p)[None, :, :] * phi[dilation_index(p)][:, None, :]
     return W.reshape(p * (p - 1), p - 1)
@@ -142,14 +162,15 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
     and pi_hat0(F) = p A_2' Omega1^T B_phi^H Omega0, and F is its inverse
     transform.  One GEMM and p-1 FFTs of length p: O(p^3) time, O(p^2) memory.
     """
-    phi = _check_phi(phi, p)
+    phi, p = _check_phi(phi, p)
     A = require_finite("A", A)
     if A.shape != (p - 1, p - 1):
         raise ValueError(f"matrix must be (p-1)x(p-1) = {(p - 1, p - 1)}, got {A.shape}")
+    plan = _generator_plan(p, phi.tobytes())
     SA = s_apply(A)
-    s = p * c_phi(phi, p) * (character_table(p).values @ SA[:, 0].conj()).conj()
+    s = p * plan.c * (character_table(p).values @ SA[:, 0].conj()).conj()
     # Omega1^T is a column gather; right-multiplying by Omega0 reverses the columns
-    M = p * (SA[:, 1:][:, index_tables(p).omega1] @ b_phi(phi, p).conj().T)[:, ::-1]
+    M = p * (SA[:, 1:][:, index_tables(p).omega1] @ plan.B.conj().T)[:, ::-1]
     return fourier_invert(AffineFourierCoefficients(p, s, M))
 
 
@@ -159,13 +180,13 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     Steps: (1) character sums of F give the first column a_1 of SA,
     (2) the pi_hat0 component of F gives the block A_2' via the left
     inverse of B_phi, (3) A = S*((a_1 | A_2')).  A stack F of shape
-    (..., p(p-1)) gives (..., p-1, p-1) from one factorization of B_phi.
+    (..., p(p-1)) gives (..., p-1, p-1); B_phi is factored once per generator.
     """
-    phi = _check_phi(phi, p)
+    phi, p = _check_phi(phi, p)
     F = require_finite("F", F)
     if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report, (U, sv, Vh) = _factor_generator(phi, p)
+    report, left, Vh = _generator_plan(p, phi.tobytes()).factors
     if not report.admissible:
         failed = []
         if not report.cond_i_holds:
@@ -186,7 +207,7 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     # reverses the columns, (B_phi^dagger)^* = U sigma^-1 V^H from the SVD
     # that decided condition (ii), and Omega1 scatters the columns.
     A2p = np.empty(F.shape[:-1] + (p - 1, p - 2), dtype=complex)
-    A2p[..., index_tables(p).omega1] = pi_hat0_transform(F, p)[..., ::-1] @ (U / sv) @ Vh / p
+    A2p[..., index_tables(p).omega1] = pi_hat0_transform(F, p)[..., ::-1] @ left @ Vh / p
     # step 3
     return s_inverse_apply(np.concatenate([a1[..., None], A2p], axis=-1))
 

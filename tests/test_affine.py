@@ -260,6 +260,7 @@ def test_table_caches_are_bounded():
     assert TABLE_CACHE_SIZE >= 2  # two alternating moduli must not rebuild
     assert index_tables.cache_info().maxsize == TABLE_CACHE_SIZE
     assert character_table.cache_info().maxsize == TABLE_CACHE_SIZE
+    assert dft_matrix.cache_info().maxsize == TABLE_CACHE_SIZE
 
 
 def test_repeated_round_trip_builds_no_table():

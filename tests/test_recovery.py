@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinephase.errors import InadmissibleGeneratorError, InconsistentDataError
+from affinephase.errors import TABLE_CACHE_SIZE, InadmissibleGeneratorError, InconsistentDataError
 from affinephase.harmonics import dft
+from affinephase.primefield import character_table, inverse_table, primitive_root
 from affinephase.recovery import (
+    _generator_plan,
     b_phi,
     c_phi,
     canonical_generator,
@@ -20,7 +22,7 @@ from affinephase.recovery import (
     recover_matrix,
     recover_vector,
 )
-from affinephase.affine import enumerate_group, pi_hat0_matrix
+from affinephase.affine import enumerate_group, index_tables, pi_hat0_matrix
 
 RNG = np.random.default_rng(20240817)
 PRIMES = (3, 5, 7)
@@ -248,13 +250,19 @@ def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+    _generator_plan.cache_clear()
     p = 13
     phi = canonical_generator(p)
     F = forward_measure(rand_matrix(p - 1), phi, p)
     assert calls == {"svd": 0, "pinv": 0}
     recover_matrix(F, phi, p)
     assert calls == {"svd": 1, "pinv": 0}
+    # B_phi is factored once per generator, not once per recovery
     recover_matrix(np.stack([F, 2 * F, F.conj()]), phi, p)
+    assert calls == {"svd": 1, "pinv": 0}
+    check_generator(phi, p)
+    assert calls == {"svd": 1, "pinv": 0}
+    check_generator(2 * phi, p)
     assert calls == {"svd": 2, "pinv": 0}
 
 
@@ -318,3 +326,77 @@ def test_non_finite_input_rejected_naming_the_argument(bad):
         recover_vector(np.abs(bad_F), phi, p)
     with pytest.raises(ValueError, match="phi has a non-finite entry"):
         check_generator(bad_phi, p)
+
+
+def test_equal_generator_in_a_new_array_shares_its_plan():
+    p = 13
+    phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    F = forward_measure(rand_matrix(p - 1), phi, p)
+    first = recover_matrix(F, phi, p)
+    info = _generator_plan.cache_info()
+    again = recover_matrix(F, phi.copy(), p)
+    assert _generator_plan.cache_info().misses == info.misses
+    assert _generator_plan.cache_info().hits == info.hits + 1
+    assert np.array_equal(first, again)
+
+
+def test_generator_changed_in_place_gets_a_new_plan():
+    p = 13
+    phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    A = rand_matrix(p - 1)
+    recover_matrix(forward_measure(A, phi, p), phi, p)
+    phi[3] *= 2.0
+    misses = _generator_plan.cache_info().misses
+    F = forward_measure(A, phi, p)
+    warm = recover_matrix(F, phi, p)
+    assert _generator_plan.cache_info().misses == misses + 1
+    _generator_plan.cache_clear()
+    assert np.array_equal(forward_measure(A, phi.copy(), p), F)
+    _generator_plan.cache_clear()
+    assert np.array_equal(recover_matrix(F, phi.copy(), p), warm)
+    assert np.linalg.norm(warm - A) < 1e-9 * np.linalg.norm(A)
+
+
+def test_generator_plans_are_bounded_and_read_only():
+    assert _generator_plan.cache_info().maxsize == TABLE_CACHE_SIZE
+    p = 7
+    phi = canonical_generator(p)
+    report = check_generator(phi, p)
+    plan = _generator_plan(p, phi.tobytes())
+    assert plan.factors[0] is report
+    arrays = (plan.phi, plan.c, plan.B, report.cond_i_values, report.b_phi, *plan.factors[1:])
+    assert not any(a.flags.writeable for a in arrays)
+    # errors.MAX_SIZE: about 48 (p-1)^2 bytes per cached generator
+    held = (plan.phi, plan.c, plan.B, *plan.factors[1:])
+    assert sum(a.nbytes for a in held) <= 48 * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_inadmissible_generator_raises_the_same_message_on_every_call(p):
+    expected = (
+        f"generator fails condition (i) a character sum c_phi vanishes and (ii) rank(B_phi) = 1 < {p - 2}",
+        f"generator fails condition (ii) rank(B_phi) = 0 < {p - 2}",
+        f"generator fails condition (ii) rank(B_phi) = 0 < {p - 2}",
+    )
+    F = np.zeros(p * (p - 1))
+    for phi, message in zip(inadmissible_generators(p), expected):
+        for _ in range(3):
+            with pytest.raises(InadmissibleGeneratorError) as exc:
+                recover_matrix(F, phi, p)
+            assert str(exc.value) == message
+            assert not check_generator(phi, p).admissible
+
+
+def test_numpy_integer_modulus_shares_the_int_caches():
+    p = 13
+    phi = canonical_generator(p)
+    A = rand_matrix(p - 1)
+    F = forward_measure(A, phi, p)
+    rec = recover_matrix(F, phi, p)
+    caches = (character_table, index_tables, inverse_table, primitive_root, _generator_plan)
+    misses = [c.cache_info().misses for c in caches]
+    F64 = forward_measure(A, phi, np.int64(p))
+    assert np.array_equal(F64, F)
+    assert np.array_equal(recover_matrix(F64, phi, np.int64(p)), rec)
+    assert check_generator(phi, np.int64(p)).p == p
+    assert [c.cache_info().misses for c in caches] == misses
