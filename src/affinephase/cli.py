@@ -257,8 +257,7 @@ def _cmd_recover_vector(args) -> int:
     phi = _read_vector(args.phi, range(1, p))
     F = _read_measurements(args.measurements, p, real=True)
     f = recovery.recover_vector(F.astype(complex), phi, p)
-    pred = recovery.forward_measure(np.outer(f, f.conj()), phi, p).real  # |<f, w_x>|^2
-    resid = float(np.linalg.norm(pred - F))
+    resid = float(np.linalg.norm(recovery._modulus_measure(f, phi, p) - F))
     scale = max(float(np.linalg.norm(F)), np.finfo(float).tiny)
     out = _vector_doc(f, range(1, p))
     out["residual"] = resid

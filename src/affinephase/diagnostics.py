@@ -25,8 +25,7 @@ from math import perm
 import numpy as np
 
 from . import recovery
-from .errors import RANK_RTOL, InconsistentDataError
-from .harmonics import dft, dft_matrix, idft
+from .errors import RANK_RTOL, ZERO_PATCH_RTOL, InconsistentDataError
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator, phase_distance
 
@@ -447,8 +446,9 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     the affine frame magnitudes at p=3 (repeats of one (A, sigma) are
     averaged), and all patches are solved by one stacked
     :func:`recovery.recover_vector` call on the Fourier side of psi0, which
-    also checks psi0 for admissibility and each patch for rank one.  The
-    patches are stitched by phase propagation.
+    also checks psi0 for admissibility and each patch for rank one.  A patch whose
+    magnitudes are all at most errors.ZERO_PATCH_RTOL times the largest is taken as
+    zero.  The patches are stitched by phase propagation.
     """
     perms = perms if isinstance(perms, np.ndarray) else list(perms)
     if len(perms) == 0:
@@ -469,7 +469,7 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
         raise ValueError("psi0 must be a vector on 3 points")
     if abs(psi0.sum()) > 1e-10 * np.linalg.norm(psi0):
         raise ValueError("psi0 must be zero-sum")
-    phi = dft(psi0)[1:]
+    phi = np.fft.fft(psi0, norm="ortho")[1:]
 
     # key each measurement by its support and by the index (l-1)*3 + k of the
     # affine map sigma(m) = k + l*m, sigma(i) = pos[:, i], in l-outer-k-inner order
@@ -484,12 +484,14 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     bad = np.flatnonzero(hi - np.minimum.reduceat(y, start) > 1e-8 * np.maximum(hi, 1.0)) // 6
     if bad.size:
         raise InconsistentDataError(f"repeated measurements disagree on patch {supports[bad[0]]}")
-    F = (np.add.reduceat(y, start) / np.diff(start, append=len(y))).reshape(-1, 6) ** 2
+    mag = (np.add.reduceat(y, start) / np.diff(start, append=len(y))).reshape(-1, 6)
+    mag[mag.max(axis=1) <= ZERO_PATCH_RTOL * mag.max()] = 0.0  # rounding noise, not signal
     try:
-        fhat = recovery.recover_vector(F, phi, 3)
+        fhat = recovery.recover_vector(mag**2, phi, 3)
     except InconsistentDataError as exc:
         raise InconsistentDataError(f"patch {supports[exc.record[0]]}: {exc}") from exc
-    patches = [PatchData(a, idft(np.concatenate([[0.0], f]))) for a, f in zip(supports, fhat)]
+    values = np.fft.ifft(np.concatenate([np.zeros((len(fhat), 1)), fhat], axis=1), norm="ortho")
+    patches = [PatchData(a, v) for a, v in zip(supports, values)]
     g = phase_propagation_stitch(patches, n, tol=1e-7)
     return canonical_phase(g)
 
@@ -532,9 +534,8 @@ def pauli_pair_family(f, g, psi, tol: float = 1e-10) -> PauliPairReport:
     Vg = _affine_coefficients(g, psi, p)
     scale = max(float(np.max(np.abs(Vf))), float(np.max(np.abs(Vg))), 1e-300)
     t_dev = np.max(np.abs(np.abs(Vf) - np.abs(Vg)), axis=1)
-    f_dev = np.array(
-        [np.max(np.abs(np.abs(dft(Vf[i])) - np.abs(dft(Vg[i])))) for i in range(p - 1)]
-    )
+    Gf, Gg = (np.abs(np.fft.fft(V, axis=1, norm="ortho")) for V in (Vf, Vg))
+    f_dev = np.max(np.abs(Gf - Gg), axis=1)
     t_ok = t_dev <= tol * scale
     f_ok = f_dev <= tol * scale
     return PauliPairReport(
@@ -553,9 +554,9 @@ def frequency_deleted_moduli(f, p: int) -> np.ndarray:
     f = np.asarray(f, dtype=complex)
     if f.shape != (p,):
         raise ValueError(f"f must live on Z_{p}")
-    gh = np.tile(dft(f), (p - 1, 1))  # row l-1 drops the frequency l
+    gh = np.tile(np.fft.fft(f, norm="ortho"), (p - 1, 1))  # row l-1 drops the frequency l
     gh[np.arange(p - 1), np.arange(1, p)] = 0.0
-    return np.abs(gh @ dft_matrix(p).conj())
+    return np.abs(np.fft.ifft(gh, axis=1, norm="ortho"))
 
 
 def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
@@ -573,11 +574,10 @@ def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
     if moduli.shape != (p - 1, p):
         raise ValueError(f"expected a (p-1) x p moduli table, got {moduli.shape}")
     psi = canonical_time_generator(p)
-    phi = dft(psi)[1:]
+    phi = np.fft.fft(psi, norm="ortho")[1:]
     F = (moduli[inverse_table(p)[1:] - 1] ** 2).reshape(-1)  # line l is |P_{l^-1} f|^2
     fhat0 = recovery.recover_vector(F, phi, p)
-    fhat = np.concatenate([[0.0], fhat0])
-    return canonical_phase(idft(fhat))
+    return canonical_phase(np.fft.ifft(np.concatenate([[0.0], fhat0]), norm="ortho"))
 
 
 def projection_phase_retrieval(f) -> np.ndarray:

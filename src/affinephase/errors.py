@@ -11,12 +11,17 @@ import numpy as np
 #: do not count towards a rank; |c_phi|, |A_phi| <= RANK_RTOL * ||phi||^2 vanish.
 RANK_RTOL = 1e-10
 
+#: Phase retrieval rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||.
+RANK_ONE_RTOL = 1e-6
+#: A 3-point patch whose magnitudes are all <= this * the largest of all patches is zero.
+ZERO_PATCH_RTOL = 1e-8
+
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
 #: is about 0.9 GB at this limit.  Each cached p keeps its character table, 16 (p-1)^2
 #: bytes, and its index tables, at most 5 (p-1)^2 + p intp entries or 40 (p-1)^2 + 8p
 #: bytes: about 350 MB per p at this limit.  Each cached generator keeps c_phi, B_phi
-#: and the SVD factors U / sigma and V^H, about 48 (p-1)^2 bytes: ~294 MB at p = 2477.
+#: and the left inverse W of B_phi, about 32 (p-1)^2 bytes: ~196 MB at p = 2477.
 #: Checked before any primality test.
 MAX_SIZE = 2500
 

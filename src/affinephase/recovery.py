@@ -12,7 +12,8 @@ inversion of this map iff
 Recovery proceeds in three steps: the character sums of F determine the
 first column a_1 of SA; the matrix component of the group Fourier transform
 of F determines the remaining block A_2' through the Moore-Penrose left
-inverse of B_phi; applying S* reassembles A.
+inverse of B_phi; applying S* reassembles A.  Phase retrieval of a vector f
+needs only the column of A = f f^H at the largest diagonal entry.
 
 An independent oracle (the explicit p(p-1) x (p-1)^2 measurement matrix and
 its pseudo-inverse) is provided for cross-validation; it shares no code
@@ -27,14 +28,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .affine import dilation_index, index_tables, s_apply, s_inverse_apply
-from .errors import (RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
+from .errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
-from .group_fourier import (
-    AffineFourierCoefficients,
-    chi_tilde_all,
-    fourier_invert,
-    pi_hat0_transform,
-)
+from .group_fourier import (AffineFourierCoefficients, chi_tilde_all, fourier_invert,
+                            pi_hat0_transform)
 from .primefield import character_table, validate_prime
 
 
@@ -73,7 +70,7 @@ class GeneratorReport:
 
 class _GeneratorPlan:
     """What the forward map and recovery need of one generator: c_phi and B_phi,
-    and on first use the thin SVD of B_phi.  Every array it holds is read-only."""
+    and on first use the left inverse of B_phi.  Every array it holds is read-only."""
 
     def __init__(self, phi: np.ndarray, p: int):
         self.phi, self.p = phi, p
@@ -82,10 +79,10 @@ class _GeneratorPlan:
             a.setflags(write=False)
 
     @cached_property
-    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray]:
-        """Both admissibility conditions, and the factors U / sigma and V^H of the
-        thin SVD of B_phi that condition (ii) was read from (U / sigma is None
-        when the rank is short)."""
+    def factors(self) -> tuple[GeneratorReport, np.ndarray | None]:
+        """Both admissibility conditions, and W = U sigma^-1 V^H / p, from the thin SVD
+        of B_phi that condition (ii) was read from, with its columns scattered by
+        Omega1: A_2' = pi_hat0(F) Omega0^T W (W is None when the rank is short)."""
         p, c, B = self.p, self.c, self.B
         scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
         cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
@@ -95,11 +92,11 @@ class _GeneratorPlan:
         report = GeneratorReport(p=p, cond_i_values=c, cond_i_holds=cond_i, b_phi=B,
                                  b_phi_rank=rank, cond_ii_holds=cond_ii,
                                  admissible=cond_i and cond_ii)
-        left = U / sv if cond_ii else None
-        for a in (left, Vh):
-            if a is not None:
-                a.setflags(write=False)
-        return report, left, Vh
+        W = None
+        if cond_ii:
+            W = ((U / sv) @ Vh / p)[:, np.argsort(index_tables(p).omega1)]
+            W.setflags(write=False)
+        return report, W
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -174,6 +171,27 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
     return fourier_invert(AffineFourierCoefficients(p, s, M))
 
 
+def _recover_steps(F, phi, p: int):
+    """Validate, then steps (1) and (2): (p, phi, F, W, a_1, X), where A_2' = X @ W."""
+    phi, p = _check_phi(phi, p)
+    F = require_finite("F", F)
+    if F.shape[-1:] != (p * (p - 1),):
+        raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
+    report, W = _generator_plan(p, phi.tobytes()).factors
+    if not report.admissible:
+        failed = ["(i) a character sum c_phi vanishes"] * (not report.cond_i_holds)
+        failed += [f"(ii) rank(B_phi) = {report.b_phi_rank} < {p - 2}"] * (not report.cond_ii_holds)
+        raise InadmissibleGeneratorError("generator fails condition " + " and ".join(failed))
+    # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k)
+    s = chi_tilde_all(F, p)
+    a1 = (character_table(p).values.T @ (s / report.cond_i_values)[..., None])[..., 0]
+    # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
+    # the prefactor follows from Schur orthogonality of the unnormalized
+    # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
+    # reverses the columns; the plan's W holds the rest.
+    return p, phi, F, W, a1 / (p * (p - 1)), pi_hat0_transform(F, p)[..., ::-1]
+
+
 def recover_matrix(F, phi, p: int) -> np.ndarray:
     """Invert the measurement map for an admissible generator.
 
@@ -182,34 +200,16 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     inverse of B_phi, (3) A = S*((a_1 | A_2')).  A stack F of shape
     (..., p(p-1)) gives (..., p-1, p-1); B_phi is factored once per generator.
     """
-    phi, p = _check_phi(phi, p)
-    F = require_finite("F", F)
-    if F.shape[-1:] != (p * (p - 1),):
-        raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report, left, Vh = _generator_plan(p, phi.tobytes()).factors
-    if not report.admissible:
-        failed = []
-        if not report.cond_i_holds:
-            failed.append("(i) a character sum c_phi vanishes")
-        if not report.cond_ii_holds:
-            failed.append(f"(ii) rank(B_phi) = {report.b_phi_rank} < {p - 2}")
-        raise InadmissibleGeneratorError(
-            "generator fails condition " + " and ".join(failed)
-        )
+    *_, W, a1, X = _recover_steps(F, phi, p)
+    return s_inverse_apply(np.concatenate([a1[..., None], X @ W], axis=-1))
 
-    table = character_table(p)
-    # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k)
-    s = chi_tilde_all(F, p)
-    a1 = (table.values.T @ (s / report.cond_i_values)[..., None])[..., 0] / (p * (p - 1))
-    # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
-    # the prefactor follows from Schur orthogonality of the unnormalized
-    # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
-    # reverses the columns, (B_phi^dagger)^* = U sigma^-1 V^H from the SVD
-    # that decided condition (ii), and Omega1 scatters the columns.
-    A2p = np.empty(F.shape[:-1] + (p - 1, p - 2), dtype=complex)
-    A2p[..., index_tables(p).omega1] = pi_hat0_transform(F, p)[..., ::-1] @ left @ Vh / p
-    # step 3
-    return s_inverse_apply(np.concatenate([a1[..., None], A2p], axis=-1))
+
+def _modulus_measure(f: np.ndarray, phi: np.ndarray, p: int) -> np.ndarray:
+    """|<f, pi_hat0(k,l) phi>|^2 for each f on the last axis, for a validated phi: for
+    each l, all k come from one inverse FFT of f * conj(phi(l.)), in O(p^2 log p)."""
+    g = np.zeros(f.shape[:-1] + (p - 1, p), dtype=complex)
+    g[..., 1:] = f[..., None, :] * phi[index_tables(p).dilation].conj()  # row l-1
+    return np.abs(np.fft.ifft(g, axis=-1, norm="forward").reshape(f.shape[:-1] + (-1,))) ** 2
 
 
 def canonical_phase(v) -> np.ndarray:
@@ -237,34 +237,38 @@ def phase_distance(u, v) -> float:
     return float(np.linalg.norm(u - alpha * v))
 
 
-#: relative second singular value above which a recovered matrix is rejected
-#: as not rank-one
-RANK_ONE_RTOL = 1e-6
-
-
 def recover_vector(F, phi, p: int) -> np.ndarray:
     """Phase retrieval: recover f on {1..p-1} (up to global phase) from
     F = |<f, pi_hat0(k,l) phi>|^2.
 
-    The recovered matrix is Hermitian-symmetrized, the top eigenvector is
-    scaled so that ||f||^2 = trace(A), and the output phase is normalized.
-    A stack F of shape (..., p(p-1)) gives (..., p-1) from one recover_matrix
-    call; rank one is tested per record, and the error names the first failure.
+    Step 1 of recovery gives the diagonal |f(m)|^2 of A = f f^H; only the column at
+    its largest entry j is gathered, through S*, and f = A(:, j) / sqrt(A(j, j)) in
+    canonical phase.  Rank one: the relative forward residual of f against F must not
+    exceed RANK_ONE_RTOL.  O(p^2 log p) per record.  A stack F of shape (..., p(p-1))
+    gives (..., p-1); rank one is tested per record, and the error names the first failure.
     """
-    A = recover_matrix(F, phi, p)
-    sv = np.linalg.svd(A, compute_uv=False)
-    nonzero = sv[..., :1] > np.finfo(float).tiny  # slices keep (..., 1): no 0-d arithmetic
-    bad = nonzero & (sv[..., 1:2] > RANK_ONE_RTOL * sv[..., :1])
+    p, phi, F, W, a1, X = _recover_steps(F, phi, p)
+    a1, X = a1.reshape(-1, p - 1), X.reshape(-1, p - 1, p - 1)
+    n = np.arange(len(a1))
+    # a_1(m) = (SA)(m, 1) = A(-m, -m): the largest diagonal entry is A(j, j) = a_1(-j)
+    top = a1.real.argmax(axis=-1)
+    j = p - 2 - top
+    r, q = np.divmod(index_tables(p).s_inverse.T[j], p - 1)  # A(:, j) = (a_1 | A_2')(r, q)
+    col = (X[n[:, None], r] * W.T[q - 1]).sum(axis=-1)  # A_2'(r, q - 1) for q >= 1
+    col[n, j] = a1[n, top]  # q = 0 only on the diagonal
+    # f = A(:, j) / sqrt(A(j, j)); an all-zero diagonal divides by inf and gives f = 0
+    d = np.sqrt(np.where(a1.real[n, top] > 0, a1.real[n, top], np.inf))[:, None]
+    f = canonical_phase(col / d).reshape(F.shape[:-1] + (-1,))
+    e2, F2 = ((np.abs(x) ** 2).sum(axis=-1) for x in (_modulus_measure(f, phi, p) - F, F))
+    bad = e2 > RANK_ONE_RTOL**2 * F2  # an all-zero F gives f = 0 and passes
     if bad.any():
-        i = tuple(np.argwhere(bad[..., 0])[0].tolist())
+        i = tuple(np.argwhere(bad)[0].tolist())
         raise InconsistentDataError(
-            (f"record {list(i)}: " if i else "") + "measurements inconsistent: recovered "
-            f"matrix is not rank-one (relative second singular value {sv[i][1] / sv[i][0]:.3e})",
+            (f"record {list(i)}: " if i else "") + "measurements inconsistent: recovered vector "
+            f"leaves relative forward residual {np.sqrt(e2[i] / F2[i]):.3e} > RANK_ONE_RTOL = "
+            f"{RANK_ONE_RTOL:.0e}",
             record=i or None)
-    H = (A + A.conj().swapaxes(-1, -2)) / 2
-    evals, evecs = np.linalg.eigh(H)
-    norm = np.sqrt(np.maximum(np.trace(H, axis1=-2, axis2=-1).real, 0.0))[..., None] * nonzero
-    return canonical_phase(evecs[..., -1] * norm)
+    return f
 
 
 def oracle_full_map(phi, p: int) -> np.ndarray:

@@ -323,6 +323,17 @@ def test_three_transitive_names_patch_of_non_rank_one_data():
         three_transitive_phase_retrieval(meas, S5)
 
 
+@pytest.mark.parametrize(
+    "f", [(1, 1, 1, -3), (0.5, 0.5, 0.5, -1.5), (1, 1, 1, -1.5, -1.5), (0, 0, 0, 1, -1)]
+)
+def test_three_transitive_retrieval_with_a_constant_patch(f):
+    # f is constant on {0, 1, 2}: that patch's magnitudes are rounding noise, taken as zero
+    f = np.array(f, dtype=complex)
+    perms = list(permutations(range(len(f))))
+    meas = measurements_for(f, perms, canonical_time_generator(3))
+    assert phase_distance(three_transitive_phase_retrieval(meas, perms), f) < 1e-6
+
+
 def test_three_transitive_rejects_negative_magnitudes():
     # the data are squared before recovery, so a sign would otherwise be dropped
     S4 = list(permutations(range(4)))

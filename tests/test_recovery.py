@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinephase.errors import TABLE_CACHE_SIZE, InadmissibleGeneratorError, InconsistentDataError
+from affinephase.errors import (RANK_ONE_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
+                               InconsistentDataError)
 from affinephase.harmonics import dft
 from affinephase.primefield import character_table, inverse_table, primitive_root
 from affinephase.recovery import (
@@ -169,8 +170,9 @@ def test_recover_vector_rejects_inconsistent_measurements():
     with pytest.raises(InconsistentDataError) as exc:
         recover_vector(F.astype(complex), phi, p)
     assert str(exc.value).startswith(
-        "measurements inconsistent: recovered matrix is not rank-one (relative second singular value"
+        "measurements inconsistent: recovered vector leaves relative forward residual"
     )
+    assert str(exc.value).endswith(" > RANK_ONE_RTOL = 1e-06")
     assert exc.value.record is None
 
 
@@ -240,7 +242,7 @@ def test_round_trip_peak_memory_at_p211():
 
 
 def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
-    calls = {"svd": 0, "pinv": 0}
+    calls = {"svd": 0, "pinv": 0, "eigh": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -248,22 +250,27 @@ def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     _generator_plan.cache_clear()
     p = 13
     phi = canonical_generator(p)
     F = forward_measure(rand_matrix(p - 1), phi, p)
-    assert calls == {"svd": 0, "pinv": 0}
+    assert calls == {"svd": 0, "pinv": 0, "eigh": 0}
     recover_matrix(F, phi, p)
-    assert calls == {"svd": 1, "pinv": 0}
+    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
     # B_phi is factored once per generator, not once per recovery
     recover_matrix(np.stack([F, 2 * F, F.conj()]), phi, p)
-    assert calls == {"svd": 1, "pinv": 0}
+    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
+    # with the plan warm, vector retrieval takes no factorization at all
+    Fv = modulus_data(phi, p, RNG.normal(size=(3, p - 1)) + 1j * RNG.normal(size=(3, p - 1)))
+    recover_vector(Fv[0], phi, p)
+    recover_vector(Fv, phi, p)
+    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
     check_generator(phi, p)
-    assert calls == {"svd": 1, "pinv": 0}
+    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
     check_generator(2 * phi, p)
-    assert calls == {"svd": 2, "pinv": 0}
+    assert calls == {"svd": 2, "pinv": 0, "eigh": 0}
 
 
 def modulus_data(phi, p, f):
@@ -300,7 +307,10 @@ def test_stacked_rank_one_failure_names_the_record():
     for stack, where, record in ((F, "[1, 2]", (1, 2)), (F.reshape(6, -1), "[5]", (5,))):
         with pytest.raises(InconsistentDataError) as exc:
             recover_vector(stack, phi, p)
-        assert str(exc.value).startswith(f"record {where}: measurements inconsistent: recovered")
+        assert str(exc.value).startswith(
+            f"record {where}: measurements inconsistent: recovered vector leaves relative "
+            "forward residual"
+        )
         assert exc.value.record == record
 
 
@@ -400,3 +410,63 @@ def test_numpy_integer_modulus_shares_the_int_caches():
     assert np.array_equal(recover_matrix(F64, phi, np.int64(p)), rec)
     assert check_generator(phi, np.int64(p)).p == p
     assert [c.cache_info().misses for c in caches] == misses
+
+
+def svd_eigh_recover_vector(F, phi, p):
+    """The SVD-then-eigh vector retrieval, kept as an oracle: the whole matrix, the top
+    eigenvector of (A + A^H)/2 scaled to ||f||^2 = trace(A), and the rank-one figure
+    sigma_2 / sigma_1 of its SVD test.  Returns (f, sigma_2 / sigma_1)."""
+    A = recover_matrix(F, phi, p)
+    sv = np.linalg.svd(A, compute_uv=False)
+    H = (A + A.conj().swapaxes(-1, -2)) / 2
+    norm = np.sqrt(np.maximum(np.trace(H, axis1=-2, axis2=-1).real, 0.0))[..., None]
+    return canonical_phase(np.linalg.eigh(H)[1][..., -1] * norm), sv[..., 1] / sv[..., 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 31, 101])
+def test_one_column_retrieval_matches_the_svd_eigh_oracle(p):
+    n = p * (p - 1)
+    for phi in generators(p):
+        f = RNG.normal(size=(2, 3, p - 1)) + 1j * RNG.normal(size=(2, 3, p - 1))
+        F = modulus_data(phi, p, f)
+        want, ratio = svd_eigh_recover_vector(F, phi, p)
+        assert np.all(ratio <= 1e-10)
+        stacked = recover_vector(F, phi, p)
+        loop = np.array([recover_vector(x, phi, p) for x in F.reshape(-1, n)])
+        assert np.array_equal(stacked.reshape(loop.shape), loop)
+        for got, w in zip(loop, want.reshape(-1, p - 1)):
+            assert phase_distance(got, w) <= 1e-12 * np.linalg.norm(w)
+
+
+def inconsistent_corpus(p, phi, rng):
+    """Modulus data no vector explains: rank-two mixes (1 - t) F_f + t F_g, and F_f with
+    a relative perturbation of size d, three draws each."""
+    f, g = rng.normal(size=(2, 3, p - 1)) + 1j * rng.normal(size=(2, 3, p - 1))
+    Ff, Fg = modulus_data(phi, p, f), modulus_data(phi, p, g)
+    mixes = [(1 - t) * Ff + t * Fg for t in (0.5, 1e-1, 1e-2, 1e-3, 1e-4)]
+    perturbed = [Ff * (1 + d * rng.normal(size=Ff.shape)) for d in (1e-1, 1e-2, 1e-3, 1e-4)]
+    return np.concatenate(mixes + perturbed)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 31])
+def test_svd_and_forward_residual_tests_reject_the_same_corpus(p):
+    rng = np.random.default_rng(1000 + p)
+    for phi in (canonical_generator(p), rng.normal(size=p - 1) + 1j * rng.normal(size=p - 1)):
+        corpus = inconsistent_corpus(p, phi, rng)
+        assert np.all(svd_eigh_recover_vector(corpus, phi, p)[1] > RANK_ONE_RTOL)
+        for F in corpus:
+            with pytest.raises(InconsistentDataError, match="relative forward residual"):
+                recover_vector(F, phi, p)
+
+
+def test_all_zero_records_give_zero_vectors_without_a_warning():
+    # pytest turns every warning into an error, so a 0/0 would fail here
+    p = 13
+    phi = canonical_generator(p)
+    zero = np.zeros(p - 1, dtype=complex)
+    assert np.array_equal(recover_vector(np.zeros(p * (p - 1)), phi, p), zero)
+    F = modulus_data(phi, p, RNG.normal(size=(3, p - 1)) + 1j * RNG.normal(size=(3, p - 1)))
+    F[1] = 0.0
+    out = recover_vector(F, phi, p)
+    assert np.array_equal(out[1], zero)
+    assert np.array_equal(out[::2], [recover_vector(x, phi, p) for x in F[::2]])
