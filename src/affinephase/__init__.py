@@ -8,7 +8,7 @@ from .primefield import (
     mod_inverse,
     primitive_root,
 )
-from .harmonics import convolve, dft, dft_matrix, idft
+from .harmonics import dft_matrix
 from .affine import (
     AffineElement,
     ENUMERATION_ORDER_TAG,

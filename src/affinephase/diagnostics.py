@@ -25,7 +25,7 @@ from math import perm
 import numpy as np
 
 from . import recovery
-from .errors import RANK_RTOL, ZERO_PATCH_RTOL, InconsistentDataError
+from .errors import RANK_RTOL, ZERO_PATCH_RTOL, InconsistentDataError, require_finite
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator, phase_distance
 
@@ -35,7 +35,7 @@ MAX_SPARK_SUBSETS = 2_000_000
 
 
 def _vector_stack(vectors) -> np.ndarray:
-    V = np.asarray(vectors, dtype=complex)
+    V = require_finite("vectors", vectors)
     if V.ndim != 2 or V.shape[0] == 0:
         raise ValueError("frame system must be a nonempty list of equal-length vectors")
     return V
@@ -196,6 +196,7 @@ def conjugate_phase_reconstruct(moduli, tol: float = 1e-8) -> np.ndarray:
     the second-largest-modulus coordinate has negative imaginary part.
     """
     D = np.asarray(moduli, dtype=float)
+    require_finite("moduli", D)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("moduli must form a square symmetric matrix")
     n = D.shape[0]
@@ -326,7 +327,7 @@ class PatchData:
     def __post_init__(self):
         if len(self.support) != 3 or len(set(self.support)) != 3:
             raise ValueError("patch support must consist of 3 distinct indices")
-        v = np.asarray(self.values, dtype=complex)
+        v = require_finite("patch values", self.values)
         if v.shape != (3,):
             raise ValueError("patch carries exactly 3 values")
         object.__setattr__(self, "values", v)
@@ -455,6 +456,7 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
         raise ValueError("empty permutation list")
     n = len(perms[0])
     y = np.asarray(measurements, dtype=float)
+    require_finite("measurements", y)
     if y.shape != (len(perms),):
         raise ValueError("need one nonnegative magnitude per permutation")
     if (y < 0).any():
@@ -464,7 +466,7 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
         raise ValueError("permutation list is not 3-fold transitive")
     if psi0 is None:
         psi0 = canonical_time_generator(3)
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = require_finite("psi0", psi0)
     if psi0.shape != (3,):
         raise ValueError("psi0 must be a vector on 3 points")
     if abs(psi0.sum()) > 1e-10 * np.linalg.norm(psi0):
@@ -523,9 +525,7 @@ def _affine_coefficients(f, psi, p: int) -> np.ndarray:
 def pauli_pair_family(f, g, psi, tol: float = 1e-10) -> PauliPairReport:
     """For each l, compare the time-side and Fourier-side moduli of the frame
     coefficient lines F_l = V_psi f(., l) and G_l = V_psi g(., l)."""
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
+    f, g, psi = require_finite("f", f), require_finite("g", g), require_finite("psi", psi)
     p = len(psi)
     validate_prime(p)
     if f.shape != (p,) or g.shape != (p,):
@@ -571,6 +571,7 @@ def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
     if p < 5:
         raise ValueError("frequency-deletion retrieval needs p >= 5")
     moduli = np.asarray(moduli, dtype=float)
+    require_finite("moduli", moduli)
     if moduli.shape != (p - 1, p):
         raise ValueError(f"expected a (p-1) x p moduli table, got {moduli.shape}")
     psi = canonical_time_generator(p)
@@ -583,7 +584,7 @@ def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
 def projection_phase_retrieval(f) -> np.ndarray:
     """End-to-end check: form {|P_l f|} from a zero-sum f and recover f up to
     phase."""
-    f = np.asarray(f, dtype=complex)
+    f = require_finite("f", f)
     p = len(f)
     validate_prime(p)
     if abs(f.sum()) > 1e-10 * max(float(np.linalg.norm(f)), 1e-300):

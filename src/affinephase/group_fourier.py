@@ -4,6 +4,11 @@ The unitary dual of G consists of the p-1 lifted multiplicative characters
 chi~(k,l) = chi(l) (dimension 1 each) and the single (p-1)-dimensional
 representation pi_hat0.  No normalization is applied to the transform;
 Plancherel and inversion carry the |G|^-1 and dimension weights explicitly.
+
+Both parts come from one FFT over k for each l: bin 0 is sum_k F(k,l), which the
+characters act on, and bins 1..p-1 are the entries of pi_hat0(F).  The private
+kernels :func:`_analysis` and :func:`_synthesis` hold this layout; the public
+functions validate their arguments once and call them, and so does recovery.
 """
 
 from __future__ import annotations
@@ -26,6 +31,23 @@ class AffineFourierCoefficients:
     matrix_part: np.ndarray
 
 
+def _analysis(F: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_k F(k,l) at index l-1, pi_hat0(F)) for a validated complex F on the last
+    axis, from one FFT over k per l.  The entry (m, lm) of pi_hat0(F) is
+    sum_k F(k,l) e^{-2 pi i km/p}, the FFT of row l at frequency m."""
+    G = np.fft.fft(F.reshape(F.shape[:-1] + (p - 1, p)), axis=-1)  # row l-1, column m
+    return G[..., 0], np.take(G.reshape(F.shape), index_tables(p).pi_hat0, -1)
+
+
+def _synthesis(per_l: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
+    """The F with sum_k F(k,l) = per_l[l-1] and pi_hat0(F) = M, from one inverse FFT
+    over k per l: the inverse of :func:`_analysis`."""
+    G = np.empty((p - 1, p), dtype=complex)
+    G[:, 0] = per_l
+    G[:, 1:] = np.take(M, index_tables(p).pi_hat0_support)
+    return np.fft.ifft(G, axis=1).reshape(-1)
+
+
 def _check_group_function(F, p: int) -> tuple[np.ndarray, int]:
     p = validate_prime(p)
     F = np.asarray(F, dtype=complex)
@@ -36,11 +58,18 @@ def _check_group_function(F, p: int) -> tuple[np.ndarray, int]:
     return F, p
 
 
+def transform(F, p: int) -> AffineFourierCoefficients:
+    """Full group Fourier transform of F, on the last axis:
+    chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), and pi_hat0(F)."""
+    F, p = _check_group_function(F, p)
+    per_l, M = _analysis(F, p)
+    s = (character_table(p).values @ per_l[..., None])[..., 0]  # one gemv per record
+    return AffineFourierCoefficients(p, s, M)
+
+
 def chi_tilde_all(F, p: int) -> np.ndarray:
     """All scalar components chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), on the last axis."""
-    F, p = _check_group_function(F, p)
-    per_l = F.reshape(F.shape[:-1] + (p - 1, p)).sum(axis=-1)  # index l-1 (l-outer)
-    return (character_table(p).values @ per_l[..., None])[..., 0]  # one gemv per record
+    return transform(F, p).scalar_part
 
 
 def chi_tilde(F, j: int, p: int) -> complex:
@@ -51,16 +80,8 @@ def chi_tilde(F, j: int, p: int) -> complex:
 
 
 def pi_hat0_transform(F, p: int) -> np.ndarray:
-    """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l); its entry
-    (m, lm) is sum_k F(k,l) e^{-2 pi i km/p}, one FFT over k per l (on the last axis)."""
-    F, p = _check_group_function(F, p)
-    G = np.fft.fft(F.reshape(F.shape[:-1] + (p - 1, p)), axis=-1)  # row l-1, column m
-    return np.take(G.reshape(F.shape), index_tables(p).pi_hat0, -1)
-
-
-def transform(F, p: int) -> AffineFourierCoefficients:
-    """Full group Fourier transform of F."""
-    return AffineFourierCoefficients(p, chi_tilde_all(F, p), pi_hat0_transform(F, p))
+    """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l), on the last axis."""
+    return transform(F, p).matrix_part
 
 
 def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
@@ -72,20 +93,15 @@ def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
         raise ValueError(f"scalar part must have p-1 = {p - 1} entries, got {s.shape}")
     if M.shape != (p - 1, p - 1):
         raise ValueError(f"matrix part must be (p-1)x(p-1), got {M.shape}")
-    # scalar contribution per l, constant in k; conj(X)^T s without conjugating X
-    per_l = (character_table(p).values.T @ s.conj()).conj()  # index l-1
-    scalar_term = np.repeat(per_l, p)  # l-outer, k-inner
-    # tr(M pi_hat0(k,l)^*) = sum_m M(m, lm) e^{2 pi i km/p}, one inverse FFT per l
-    G = np.zeros((p - 1, p), dtype=complex)
-    G[:, 1:] = np.take(M, index_tables(p).pi_hat0_support)
-    matrix_term = (p - 1) * p * np.fft.ifft(G, axis=1).reshape(-1)
-    return (scalar_term + matrix_term) / (p * (p - 1))
+    # sum_k F(k,l) = (p-1)^-1 sum_j s_j conj(chi_j(l)); conj(X)^T s without conjugating X
+    per_l = (character_table(p).values.T @ s.conj()).conj() / (p - 1)
+    return _synthesis(per_l, M, p)
 
 
 def plancherel_sides(F, p: int) -> tuple[float, float]:
     """(||F||^2, |G|^-1 [sum_j |chi~_j(F)|^2 + (p-1) ||pi_hat0(F)||^2])."""
-    F, p = _check_group_function(F, p)
     c = transform(F, p)
+    F, p = np.asarray(F, dtype=complex), c.p
     lhs = float(np.vdot(F, F).real)
     rhs = float(
         (np.vdot(c.scalar_part, c.scalar_part).real

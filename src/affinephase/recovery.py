@@ -30,8 +30,7 @@ import numpy as np
 from .affine import dilation_index, index_tables, s_apply, s_inverse_apply
 from .errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
-from .group_fourier import (AffineFourierCoefficients, chi_tilde_all, fourier_invert,
-                            pi_hat0_transform)
+from .group_fourier import _analysis, _synthesis
 from .primefield import character_table, validate_prime
 
 
@@ -41,20 +40,6 @@ def _check_phi(phi, p: int) -> tuple[np.ndarray, int]:
     if phi.shape != (p - 1,):
         raise ValueError(f"generator must live on {{1..{p - 1}}}, got shape {phi.shape}")
     return phi, p
-
-
-def c_phi(phi, p: int) -> np.ndarray:
-    """Character sums c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}."""
-    phi, p = _check_phi(phi, p)
-    h = np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at index l-1
-    return character_table(p).values @ h
-
-
-def b_phi(phi, p: int) -> np.ndarray:
-    """B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}."""
-    phi, p = _check_phi(phi, p)
-    g = phi[index_tables(p).dilation]  # g[m-1, n-1] = phi(mn)
-    return g[:, :-1] * g[:, 1:].conj()
 
 
 @dataclass(frozen=True)
@@ -69,12 +54,16 @@ class GeneratorReport:
 
 
 class _GeneratorPlan:
-    """What the forward map and recovery need of one generator: c_phi and B_phi,
-    and on first use the left inverse of B_phi.  Every array it holds is read-only."""
+    """What the forward map and recovery need of one generator: the character sums
+    c = c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}, the matrix
+    B = B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}, and on first
+    use the left inverse of B_phi.  Every array it holds is read-only."""
 
     def __init__(self, phi: np.ndarray, p: int):
         self.phi, self.p = phi, p
-        self.c, self.B = c_phi(phi, p), b_phi(phi, p)
+        self.c = character_table(p).values @ np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at l-1
+        g = phi[index_tables(p).dilation]  # g[m-1, n-1] = phi(mn)
+        self.B = g[:, :-1] * g[:, 1:].conj()
         for a in (self.c, self.B):
             a.setflags(write=False)
 
@@ -107,10 +96,25 @@ def _generator_plan(p: int, phi_bytes: bytes) -> _GeneratorPlan:
     return _GeneratorPlan(np.frombuffer(phi_bytes, dtype=complex), p)
 
 
+def _plan(phi, p: int) -> _GeneratorPlan:
+    """Validate p and phi, then find or build their plan."""
+    phi, p = _check_phi(phi, p)
+    return _generator_plan(p, phi.tobytes())
+
+
+def c_phi(phi, p: int) -> np.ndarray:
+    """Character sums c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}; read-only."""
+    return _plan(phi, p).c
+
+
+def b_phi(phi, p: int) -> np.ndarray:
+    """B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}; read-only."""
+    return _plan(phi, p).B
+
+
 def check_generator(phi, p: int) -> GeneratorReport:
     """Evaluate both admissibility conditions for phi."""
-    phi, p = _check_phi(phi, p)
-    return _generator_plan(p, phi.tobytes()).factors[0]
+    return _plan(phi, p).factors[0]
 
 
 def canonical_generator(p: int) -> np.ndarray:
@@ -154,42 +158,47 @@ def frame_vectors(phi, p: int) -> np.ndarray:
 def forward_measure(A, phi, p: int) -> np.ndarray:
     """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>.
 
-    :func:`recover_matrix` run backwards: with SA = (a_1 | A_2'), the group
-    Fourier transform of F is chi~_j(F) = p c_phi(chi_j) (conj(chi_j) . a_1)
-    and pi_hat0(F) = p A_2' Omega1^T B_phi^H Omega0, and F is its inverse
-    transform.  One GEMM and p-1 FFTs of length p: O(p^3) time, O(p^2) memory.
+    :func:`recover_matrix` run backwards: with SA = (a_1 | A_2'),
+    pi_hat0(F) = p A_2' Omega1^T B_phi^H Omega0.  Summed over k, the factor
+    e^{-2 pi i k(n-m)/p} of F(k,l) vanishes unless m = n, so only the diagonal of A
+    is left: sum_k F(k,l) = p sum_m |phi(lm)|^2 A(m,m).  Both go to one inverse FFT
+    over k per l.  One GEMM and p-1 FFTs of length p: O(p^3) time, O(p^2) memory.
     """
-    phi, p = _check_phi(phi, p)
-    A = require_finite("A", A)
+    plan = _plan(phi, p)
+    p, A = plan.p, require_finite("A", A)
     if A.shape != (p - 1, p - 1):
         raise ValueError(f"matrix must be (p-1)x(p-1) = {(p - 1, p - 1)}, got {A.shape}")
-    plan = _generator_plan(p, phi.tobytes())
-    SA = s_apply(A)
-    s = p * plan.c * (character_table(p).values @ SA[:, 0].conj()).conj()
+    tables = index_tables(p)
+    per_l = p * ((np.abs(plan.phi) ** 2)[tables.dilation] @ A.diagonal())
     # Omega1^T is a column gather; right-multiplying by Omega0 reverses the columns
-    M = p * (SA[:, 1:][:, index_tables(p).omega1] @ plan.B.conj().T)[:, ::-1]
-    return fourier_invert(AffineFourierCoefficients(p, s, M))
+    M = p * (s_apply(A)[:, 1:][:, tables.omega1] @ plan.B.conj().T)[:, ::-1]
+    return _synthesis(per_l, M, p)
 
 
 def _recover_steps(F, phi, p: int):
-    """Validate, then steps (1) and (2): (p, phi, F, W, a_1, X), where A_2' = X @ W."""
-    phi, p = _check_phi(phi, p)
-    F = require_finite("F", F)
+    """Validate, then steps (1) and (2) from one FFT over k per l (group_fourier's
+    analysis kernel): (p, phi, F, W, a_1, X), where A_2' = X @ W.  Bin 0 holds
+    sum_k F(k,l), whose character sums give a_1; the other bins give pi_hat0(F)."""
+    plan = _plan(phi, p)
+    p, phi, F = plan.p, plan.phi, require_finite("F", F)
     if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report, W = _generator_plan(p, phi.tobytes()).factors
+    report, W = plan.factors
     if not report.admissible:
         failed = ["(i) a character sum c_phi vanishes"] * (not report.cond_i_holds)
         failed += [f"(ii) rank(B_phi) = {report.b_phi_rank} < {p - 2}"] * (not report.cond_ii_holds)
         raise InadmissibleGeneratorError("generator fails condition " + " and ".join(failed))
-    # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k)
-    s = chi_tilde_all(F, p)
-    a1 = (character_table(p).values.T @ (s / report.cond_i_values)[..., None])[..., 0]
+    per_l, M = _analysis(F, p)
+    # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k),
+    # with chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l)
+    chi = character_table(p).values
+    s = (chi @ per_l[..., None])[..., 0]
+    a1 = (chi.T @ (s / report.cond_i_values)[..., None])[..., 0]
     # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
     # the prefactor follows from Schur orthogonality of the unnormalized
     # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
     # reverses the columns; the plan's W holds the rest.
-    return p, phi, F, W, a1 / (p * (p - 1)), pi_hat0_transform(F, p)[..., ::-1]
+    return p, phi, F, W, a1 / (p * (p - 1)), M[..., ::-1]
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from affinephase.diagnostics import (
     zero_sum_projection,
 )
 from affinephase.errors import InadmissibleGeneratorError, InconsistentDataError
-from affinephase.harmonics import dft, idft
+from affinephase.harmonics import dft_matrix
 from affinephase.recovery import canonical_phase, canonical_time_generator, phase_distance
 
 RNG = np.random.default_rng(20240817)
@@ -275,7 +275,7 @@ def test_three_transitive_retrieval_s4():
 
 
 def test_three_transitive_rejects_inadmissible_generator():
-    # |phi(1)| = |phi(2)| for phi = dft(psi0)[1:], so a character sum vanishes
+    # |phi(1)| = |phi(2)| for phi = (dft_matrix(3) @ psi0)[1:], so a character sum vanishes
     S4 = list(permutations(range(4)))
     psi0 = np.array([1.0, -1.0, 0.0])
     meas = measurements_for(rand_zero_sum(4), S4, psi0)
@@ -387,11 +387,12 @@ def test_frequency_deleted_moduli_definition():
     p = 7
     f = rand_zero_sum(p)
     tbl = frequency_deleted_moduli(f, p)
-    fhat = dft(f)
+    U = dft_matrix(p)
+    fhat = U @ f
     for l in range(1, p):
         gh = fhat.copy()
         gh[l] = 0.0
-        assert np.allclose(tbl[l - 1], np.abs(idft(gh)), atol=1e-13)
+        assert np.allclose(tbl[l - 1], np.abs(U.conj().T @ gh), atol=1e-13)
 
 
 def test_projection_phase_retrieval_round_trip():
@@ -404,3 +405,43 @@ def test_projection_phase_retrieval_round_trip():
 def test_recover_from_projection_moduli_shape_check():
     with pytest.raises(ValueError):
         recover_from_projection_moduli(np.zeros((3, 5)), 5)
+
+
+def _with(a, index, value):
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    a[index] = value
+    return a
+
+
+S4 = list(permutations(range(4)))
+NON_FINITE_CALLS = {
+    "full_spark": ("vectors", lambda: full_spark(_with(np.eye(3), (1, 2), np.inf))),
+    "complement_property": (
+        "vectors", lambda: complement_property(_with(np.eye(3), (0, 0), np.nan))),
+    "phase_propagation_stitch": ("patch values", lambda: phase_propagation_stitch(
+        [PatchData((0, 1, 2), _with(np.zeros(3), 1, np.nan))], 3)),
+    "pauli_pair_family f": ("f", lambda: pauli_pair_family(
+        _with(np.ones(5), 2, np.nan), np.ones(5), canonical_time_generator(5))),
+    "pauli_pair_family g": ("g", lambda: pauli_pair_family(
+        np.ones(5), _with(np.ones(5), 0, np.inf), canonical_time_generator(5))),
+    "pauli_pair_family psi": ("psi", lambda: pauli_pair_family(
+        np.ones(5), np.ones(5), _with(canonical_time_generator(5), 3, np.nan))),
+    "conjugate_phase_reconstruct": ("moduli", lambda: conjugate_phase_reconstruct(
+        _with(np.ones((3, 3)) - np.eye(3), (0, 1), np.nan))),
+    "three_transitive_phase_retrieval": ("measurements", lambda: three_transitive_phase_retrieval(
+        _with(measurements_for(rand_zero_sum(4), S4, canonical_time_generator(3)), 5, np.nan),
+        S4)),
+    "three_transitive_phase_retrieval psi0": ("psi0", lambda: three_transitive_phase_retrieval(
+        np.ones(24), S4, _with(canonical_time_generator(3), 0, np.inf))),
+    "recover_from_projection_moduli": ("moduli", lambda: recover_from_projection_moduli(
+        _with(frequency_deleted_moduli(rand_zero_sum(5), 5), (1, 1), np.inf), 5)),
+    "projection_phase_retrieval": (
+        "f", lambda: projection_phase_retrieval(_with(rand_zero_sum(5), 4, np.nan))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_is_rejected_naming_the_argument(entry):
+    name, call = NON_FINITE_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+        call()

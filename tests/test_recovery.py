@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from affinephase.errors import (RANK_ONE_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                                InconsistentDataError)
-from affinephase.harmonics import dft
+from affinephase.harmonics import dft_matrix
 from affinephase.primefield import character_table, inverse_table, primitive_root
 from affinephase.recovery import (
     _generator_plan,
@@ -192,11 +193,11 @@ def test_phase_distance_properties():
 
 
 def test_time_side_generator_matches_fourier_side():
-    # dft(psi) vanishes at frequency 0 and restricts to a multiple of the
-    # canonical generator on {1..p-1}
+    # the unitary DFT of psi vanishes at frequency 0 and restricts to a multiple
+    # of the canonical generator on {1..p-1}
     for p in (3, 5, 7, 11):
         psi = canonical_time_generator(p)
-        ph = dft(psi)
+        ph = dft_matrix(p) @ psi
         assert abs(ph[0]) < 1e-12
         phi = canonical_generator(p)
         nz = np.abs(phi) > 0
@@ -273,6 +274,45 @@ def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
     assert calls == {"svd": 2, "pinv": 0, "eigh": 0}
 
 
+def test_each_entry_point_validates_p_once(monkeypatch):
+    from affinephase import primefield
+    original = primefield.validate_prime
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("affinephase")]:
+        if getattr(module, "validate_prime", None) is original:
+            monkeypatch.setattr(module, "validate_prime", counted)
+    p = 13
+    phi = canonical_generator(p)
+    A = rand_matrix(p - 1)
+    F = forward_measure(A, phi, p)
+    Fv = modulus_data(phi, p, RNG.normal(size=(3, p - 1)) + 1j * RNG.normal(size=(3, p - 1)))
+    recover_matrix(F, phi, p)  # the plan and the per-p tables are warm from here on
+    entry_points = {
+        "forward_measure": lambda: forward_measure(A, phi, p),
+        "recover_matrix": lambda: recover_matrix(F, phi, p),
+        "recover_vector": lambda: recover_vector(Fv[0], phi, p),
+        "recover_vector, a stack of 3": lambda: recover_vector(Fv, phi, p),
+        "check_generator": lambda: check_generator(phi, p),
+        "c_phi": lambda: c_phi(phi, p),
+        "b_phi": lambda: b_phi(phi, p),
+    }
+    for name, call in entry_points.items():
+        calls.clear()
+        call()
+        assert calls == [p], name
+    # a fresh generator builds its plan without validating p again
+    misses = _generator_plan.cache_info().misses
+    calls.clear()
+    forward_measure(A, 2 * phi + 1, p)
+    assert _generator_plan.cache_info().misses == misses + 1
+    assert calls == [p]
+
+
 def modulus_data(phi, p, f):
     """|<f, pi_hat0(k,l) phi>|^2 for each vector f on the last axis."""
     return np.abs(f @ frame_vectors(phi, p).conj().T) ** 2
@@ -293,6 +333,8 @@ def test_stacked_recovery_equals_per_record_loop(p):
             stacked = recover_vector(Fv, phi, p)
             loop = np.array([recover_vector(x, phi, p) for x in Fv.reshape(-1, n)])
             assert np.array_equal(stacked, loop.reshape(stacked.shape))
+            # a stack that is not C-contiguous, such as a transposed product, too
+            assert np.array_equal(recover_vector(np.asfortranarray(Fv), phi, p), stacked)
             assert max(phase_distance(g, x) for g, x in zip(loop, f.reshape(-1, p - 1))) < 1e-8
     with pytest.raises(ValueError, match=rf"measurements must have length p\(p-1\) = {n}"):
         recover_matrix(np.zeros((2, n + 1)), phi, p)
