@@ -36,41 +36,24 @@ EXIT_NUMERICAL = 3
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing: floats rendered with 17 significant digits so that doubles
-# round-trip exactly and output is byte-deterministic
+# JSON plumbing: floats print as repr, the shortest form that round-trips a double,
+# and output is byte-deterministic; a NaN or inf raises ValueError (exit code 2)
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"non-finite value {x} cannot be serialized")
-    return format(float(x), ".17g")
-
-
-def _dump(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_dump(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
+def _jsonable(obj):
+    """The ``default`` hook of the encoder: arrays as lists, complex numbers as
+    [re, im] pairs, numpy scalars as Python numbers."""
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump(v) for v in obj) + "]"
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(_dump(obj) + "\n")
+    sys.stdout.write(json.dumps(obj, allow_nan=False, default=_jsonable) + "\n")
 
 
 def _reject_constant(token: str):

@@ -25,7 +25,9 @@ from math import perm
 import numpy as np
 
 from . import recovery
-from .errors import RANK_RTOL, ZERO_PATCH_RTOL, InconsistentDataError, require_finite
+from .errors import (CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, STITCH_RTOL,
+                     THREE_TRANSITIVE_STITCH_RTOL, ZERO_PATCH_RTOL, InconsistentDataError,
+                     require_finite)
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator, phase_distance
 
@@ -184,7 +186,7 @@ def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...],
 # conjugate phase retrieval via planar distance geometry
 
 
-def conjugate_phase_reconstruct(moduli, tol: float = 1e-8) -> np.ndarray:
+def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     """Reconstruct a zero-sum vector from all pairwise moduli |f(k) - f(l)|.
 
     ``moduli`` is the symmetric n x n matrix of pairwise distances.  Classical
@@ -194,16 +196,20 @@ def conjugate_phase_reconstruct(moduli, tol: float = 1e-8) -> np.ndarray:
     is fixed by a canonical representative: the largest-modulus coordinate is
     rotated to the positive real axis and the configuration is conjugated if
     the second-largest-modulus coordinate has negative imaginary part.
+    Symmetry, the zero diagonal and that sign are tested to errors.CONJUGATE_PR_RTOL.
     """
     D = np.asarray(moduli, dtype=float)
     require_finite("moduli", D)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("moduli must form a square symmetric matrix")
+    if (D < 0).any():
+        raise ValueError(f"moduli entry {tuple(np.argwhere(D < 0)[0].tolist())} is negative")
     n = D.shape[0]
     if n < 3:
         raise ValueError("need at least 3 points")
     scale = float(np.max(D))
-    if not np.allclose(D, D.T, atol=tol * max(scale, 1.0)) or np.max(np.abs(np.diag(D))) > tol * max(scale, 1.0):
+    atol = CONJUGATE_PR_RTOL * max(scale, 1.0)
+    if not np.allclose(D, D.T, atol=atol) or np.max(np.abs(np.diag(D))) > atol:
         raise ValueError("moduli matrix must be symmetric with zero diagonal")
     if scale == 0.0:
         return np.zeros(n, dtype=complex)
@@ -225,7 +231,7 @@ def conjugate_phase_reconstruct(moduli, tol: float = 1e-8) -> np.ndarray:
     z = z - z.mean()  # exact zero-sum after roundoff
     z = canonical_phase(z)
     order = np.argsort(np.abs(z))
-    if len(order) >= 2 and z[order[-2]].imag < -tol * scale:
+    if len(order) >= 2 and z[order[-2]].imag < -CONJUGATE_PR_RTOL * scale:
         z = z.conj()
         z = canonical_phase(z)
     return z
@@ -340,7 +346,7 @@ def zero_sum_projection(f, support) -> np.ndarray:
     return vals - vals.mean()
 
 
-def phase_propagation_stitch(patches, n: int, tol: float = 1e-8) -> np.ndarray:
+def phase_propagation_stitch(patches, n: int, tol: float = STITCH_RTOL) -> np.ndarray:
     """Assemble a zero-sum vector (up to one global unit scalar) from 3-point
     patches each known up to its own unit scalar.
 
@@ -494,7 +500,7 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
         raise InconsistentDataError(f"patch {supports[exc.record[0]]}: {exc}") from exc
     values = np.fft.ifft(np.concatenate([np.zeros((len(fhat), 1)), fhat], axis=1), norm="ortho")
     patches = [PatchData(a, v) for a, v in zip(supports, values)]
-    g = phase_propagation_stitch(patches, n, tol=1e-7)
+    g = phase_propagation_stitch(patches, n, tol=THREE_TRANSITIVE_STITCH_RTOL)
     return canonical_phase(g)
 
 
@@ -522,9 +528,10 @@ def _affine_coefficients(f, psi, p: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(f) * np.fft.fft(psi_l, axis=1).conj(), axis=1)
 
 
-def pauli_pair_family(f, g, psi, tol: float = 1e-10) -> PauliPairReport:
+def pauli_pair_family(f, g, psi) -> PauliPairReport:
     """For each l, compare the time-side and Fourier-side moduli of the frame
-    coefficient lines F_l = V_psi f(., l) and G_l = V_psi g(., l)."""
+    coefficient lines F_l = V_psi f(., l) and G_l = V_psi g(., l); they match within
+    errors.PAULI_MATCH_RTOL times the largest coefficient modulus."""
     f, g, psi = require_finite("f", f), require_finite("g", g), require_finite("psi", psi)
     p = len(psi)
     validate_prime(p)
@@ -536,8 +543,8 @@ def pauli_pair_family(f, g, psi, tol: float = 1e-10) -> PauliPairReport:
     t_dev = np.max(np.abs(np.abs(Vf) - np.abs(Vg)), axis=1)
     Gf, Gg = (np.abs(np.fft.fft(V, axis=1, norm="ortho")) for V in (Vf, Vg))
     f_dev = np.max(np.abs(Gf - Gg), axis=1)
-    t_ok = t_dev <= tol * scale
-    f_ok = f_dev <= tol * scale
+    t_ok = t_dev <= PAULI_MATCH_RTOL * scale
+    f_ok = f_dev <= PAULI_MATCH_RTOL * scale
     return PauliPairReport(
         p=p,
         time_side_match=t_ok,
@@ -574,6 +581,8 @@ def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
     require_finite("moduli", moduli)
     if moduli.shape != (p - 1, p):
         raise ValueError(f"expected a (p-1) x p moduli table, got {moduli.shape}")
+    if (moduli < 0).any():
+        raise ValueError(f"moduli entry {tuple(np.argwhere(moduli < 0)[0].tolist())} is negative")
     psi = canonical_time_generator(p)
     phi = np.fft.fft(psi, norm="ortho")[1:]
     F = (moduli[inverse_table(p)[1:] - 1] ** 2).reshape(-1)  # line l is |P_{l^-1} f|^2

@@ -1,4 +1,4 @@
-"""Shared exception types, the rank tolerance and the finiteness check.
+"""Shared exception types, the tolerances and size limits, and the finiteness check.
 
 ValueError subclasses signal invalid inputs (CLI exit code 2);
 InconsistentDataError signals a numerical failure on structurally valid
@@ -15,6 +15,20 @@ RANK_RTOL = 1e-10
 RANK_ONE_RTOL = 1e-6
 #: A 3-point patch whose magnitudes are all <= this * the largest of all patches is zero.
 ZERO_PATCH_RTOL = 1e-8
+
+#: Phase propagation: two aligned patch differences farther apart than this * the largest
+#: patch norm disagree, and a patch of smaller norm is zero.  The default ``tol`` of
+#: ``diagnostics.phase_propagation_stitch``, which the CLI uses.
+STITCH_RTOL = 1e-8
+#: The stitch tolerance inside the 3-transitive pipeline, whose patches come from a
+#: stacked recovery.
+THREE_TRANSITIVE_STITCH_RTOL = 1e-7
+#: Conjugate phase retrieval: the moduli matrix must be symmetric with zero diagonal to
+#: within this * max(largest modulus, 1), and the second-largest coordinate counts as in
+#: the lower half-plane below -this * largest modulus.
+CONJUGATE_PR_RTOL = 1e-8
+#: Pauli pairs: two coefficient moduli match within this * the largest coefficient modulus.
+PAULI_MATCH_RTOL = 1e-10
 
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which

@@ -3,7 +3,8 @@
 The unitary dual of G consists of the p-1 lifted multiplicative characters
 chi~(k,l) = chi(l) (dimension 1 each) and the single (p-1)-dimensional
 representation pi_hat0.  No normalization is applied to the transform;
-Plancherel and inversion carry the |G|^-1 and dimension weights explicitly.
+inversion (and Plancherel, :func:`affinephase.reference.plancherel_sides`)
+carries the |G|^-1 and dimension weights explicitly.
 
 Both parts come from one FFT over k for each l: bin 0 is sum_k F(k,l), which the
 characters act on, and bins 1..p-1 are the entries of pi_hat0(F).  The private
@@ -63,20 +64,13 @@ def transform(F, p: int) -> AffineFourierCoefficients:
     chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), and pi_hat0(F)."""
     F, p = _check_group_function(F, p)
     per_l, M = _analysis(F, p)
-    s = (character_table(p).values @ per_l[..., None])[..., 0]  # one gemv per record
+    s = (character_table(p) @ per_l[..., None])[..., 0]  # one gemv per record
     return AffineFourierCoefficients(p, s, M)
 
 
 def chi_tilde_all(F, p: int) -> np.ndarray:
     """All scalar components chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), on the last axis."""
     return transform(F, p).scalar_part
-
-
-def chi_tilde(F, j: int, p: int) -> complex:
-    """Scalar component of F at the lifted character chi_j."""
-    if not 0 <= j <= p - 2:
-        raise ValueError(f"character index {j} out of range for p={p}")
-    return complex(chi_tilde_all(F, p)[j])
 
 
 def pi_hat0_transform(F, p: int) -> np.ndarray:
@@ -94,17 +88,5 @@ def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
     if M.shape != (p - 1, p - 1):
         raise ValueError(f"matrix part must be (p-1)x(p-1), got {M.shape}")
     # sum_k F(k,l) = (p-1)^-1 sum_j s_j conj(chi_j(l)); conj(X)^T s without conjugating X
-    per_l = (character_table(p).values.T @ s.conj()).conj() / (p - 1)
+    per_l = (character_table(p).T @ s.conj()).conj() / (p - 1)
     return _synthesis(per_l, M, p)
-
-
-def plancherel_sides(F, p: int) -> tuple[float, float]:
-    """(||F||^2, |G|^-1 [sum_j |chi~_j(F)|^2 + (p-1) ||pi_hat0(F)||^2])."""
-    c = transform(F, p)
-    F, p = np.asarray(F, dtype=complex), c.p
-    lhs = float(np.vdot(F, F).real)
-    rhs = float(
-        (np.vdot(c.scalar_part, c.scalar_part).real
-         + (p - 1) * np.vdot(c.matrix_part, c.matrix_part).real) / (p * (p - 1))
-    )
-    return lhs, rhs

@@ -31,16 +31,6 @@ def _check_phi(phi) -> np.ndarray:
     return phi
 
 
-def schrodinger_matrix(k: int, l: int, n: int) -> np.ndarray:
-    """Unitary matrix of pi(k, l) on C^n."""
-    _check_n(n)
-    k, l = k % n, l % n
-    M = np.zeros((n, n), dtype=complex)
-    y = np.arange(n)
-    M[y, (y - k) % n] = np.exp(2j * np.pi * l * y / n)
-    return M
-
-
 def _translates(phi: np.ndarray) -> np.ndarray:
     """Row k holds the translate y -> phi(y - k)."""
     y = np.arange(len(phi))

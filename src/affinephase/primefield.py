@@ -7,7 +7,6 @@ roots are handled by direct deterministic search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,14 +40,6 @@ def validate_prime(p: int) -> int:
     if p < 3 or not is_prime(int(p)):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
     return int(p)
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p, as a representative in {1..p-1}."""
-    p = validate_prime(p)
-    if a % p == 0:
-        raise ValueError(f"{a} is not invertible mod {p}")
-    return pow(int(a), -1, p)
 
 
 @lru_cache(maxsize=None)
@@ -85,31 +76,14 @@ def primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root found mod {p}")  # unreachable for prime p
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """The p-1 multiplicative characters of Z_p*.
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def character_table(p: int) -> np.ndarray:
+    """The p-1 multiplicative characters of Z_p* as a read-only (p-1) x (p-1) array.
 
     Characters are enumerated relative to the smallest primitive root g:
     chi_j(g^k) = exp(2*pi*i*j*k/(p-1)), so chi_0 is the trivial character.
-    ``values[j, l-1]`` holds chi_j(l) for l in {1..p-1}.
+    Entry [j, l-1] holds chi_j(l) for l in {1..p-1}.
     """
-
-    p: int
-    root: int
-    values: np.ndarray
-
-    def chi(self, j: int, l: int) -> complex:
-        if not 0 <= j <= self.p - 2:
-            raise ValueError(f"character index {j} out of range for p={self.p}")
-        l = l % self.p
-        if l == 0:
-            raise ValueError("characters are defined on Z_p* only")
-        return complex(self.values[j, l - 1])
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def character_table(p: int) -> CharacterTable:
-    """Build the full character table of Z_p*."""
     p = validate_prime(p)
     g = primitive_root(p)
     dlog = np.empty(p - 1, dtype=np.int64)
@@ -123,4 +97,4 @@ def character_table(p: int) -> CharacterTable:
     expo = np.outer(j, dlog) % (p - 1)
     values = np.exp(2j * np.pi * expo / (p - 1))
     values.setflags(write=False)
-    return CharacterTable(p=p, root=g, values=values)
+    return values

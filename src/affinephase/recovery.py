@@ -16,7 +16,7 @@ inverse of B_phi; applying S* reassembles A.  Phase retrieval of a vector f
 needs only the column of A = f f^H at the largest diagonal entry.
 
 An independent oracle (the explicit p(p-1) x (p-1)^2 measurement matrix and
-its pseudo-inverse) is provided for cross-validation; it shares no code
+its pseudo-inverse) lives in :mod:`affinephase.reference`; it shares no code
 path with the structured algorithm.
 """
 
@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .affine import dilation_index, index_tables, s_apply, s_inverse_apply
+from .affine import index_tables, s_apply, s_inverse_apply
 from .errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
 from .group_fourier import _analysis, _synthesis
@@ -61,7 +61,7 @@ class _GeneratorPlan:
 
     def __init__(self, phi: np.ndarray, p: int):
         self.phi, self.p = phi, p
-        self.c = character_table(p).values @ np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at l-1
+        self.c = character_table(p) @ np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at l-1
         g = phi[index_tables(p).dilation]  # g[m-1, n-1] = phi(mn)
         self.B = g[:, :-1] * g[:, 1:].conj()
         for a in (self.c, self.B):
@@ -151,7 +151,7 @@ def frame_vectors(phi, p: int) -> np.ndarray:
     row (l-1)p + k holds m -> e^{-2 pi i km/p} phi(lm)."""
     phi, p = _check_phi(phi, p)
     km = np.outer(np.arange(p), np.arange(1, p)) % p
-    W = np.exp(-2j * np.pi * km / p)[None, :, :] * phi[dilation_index(p)][:, None, :]
+    W = np.exp(-2j * np.pi * km / p)[None, :, :] * phi[index_tables(p).dilation][:, None, :]
     return W.reshape(p * (p - 1), p - 1)
 
 
@@ -191,7 +191,7 @@ def _recover_steps(F, phi, p: int):
     per_l, M = _analysis(F, p)
     # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k),
     # with chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l)
-    chi = character_table(p).values
+    chi = character_table(p)
     s = (chi @ per_l[..., None])[..., 0]
     a1 = (chi.T @ (s / report.cond_i_values)[..., None])[..., 0]
     # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
@@ -278,23 +278,3 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
             f"{RANK_ONE_RTOL:.0e}",
             record=i or None)
     return f
-
-
-def oracle_full_map(phi, p: int) -> np.ndarray:
-    """Entry-by-entry matrix of the measurement map A -> F, built from the
-    orbit vectors alone: row x, column (m,n) holds w_x(n) conj(w_x(m)), so
-    that F = M @ vec(A) with row-major vec."""
-    W = frame_vectors(phi, p)
-    return np.einsum("xm,xn->xmn", W.conj(), W).reshape(p * (p - 1), (p - 1) ** 2)
-
-
-def oracle_recover(F, phi, p: int) -> np.ndarray:
-    """Least-squares inversion of the full measurement matrix (independent of
-    the structured recovery path)."""
-    F = np.asarray(F, dtype=complex)
-    M = oracle_full_map(phi, p)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] <= np.finfo(float).tiny or np.sum(sv > RANK_RTOL * sv[0]) < (p - 1) ** 2:
-        raise InadmissibleGeneratorError("measurement map is rank-deficient")
-    vec = np.linalg.pinv(M, rcond=RANK_RTOL) @ F
-    return vec.reshape(p - 1, p - 1)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import affinephase
-from affinephase.cli import main
-from affinephase.recovery import canonical_generator, frame_vectors, phase_distance
+from affinephase.cli import _emit, main
+from affinephase.recovery import canonical_generator, frame_vectors, phase_distance, recover_matrix
 
 RNG = np.random.default_rng(20240817)
 
@@ -279,6 +279,24 @@ def test_diagnostics_conj_pr(capsys, tmp_path):
     assert min(phase_distance(g, f), phase_distance(g, f.conj())) < 1e-8
 
 
+@pytest.mark.parametrize("kind", ["conj-pr", "projection-pr"])
+def test_exit_code_2_on_negative_moduli(capsys, tmp_path, kind):
+    p = 5
+    f = np.exp(2j * np.pi * np.arange(p) / p)  # zero-sum
+    if kind == "conj-pr":
+        D, extra = np.abs(f[:, None] - f[None, :]), []
+        D[0, 1] = D[1, 0] = -D[0, 1]
+    else:
+        D = np.abs(np.fft.ifft(np.fft.fft(f) * (1 - np.eye(p)[1:]), axis=1))  # row l-1 drops l
+        D[2, 3] = -D[2, 3]
+        extra = ["--p", str(p)]
+    path = tmp_path / "D.json"
+    write_matrix(path, D)
+    code = main(["diagnostics", kind, "--moduli", str(path), *extra])
+    assert code == 2
+    assert "is negative" in capsys.readouterr().err
+
+
 def test_demo_counterexample(capsys):
     code, doc = run(capsys, "demo-counterexample")
     assert code == 0
@@ -320,3 +338,64 @@ def test_cli_import_pulls_in_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(affinephase.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fast_path_never_loads_the_oracles():
+    code = """
+import sys
+import numpy as np
+import affinephase.cli
+from affinephase import heisenberg, recovery
+
+p, n = 5, 4
+phi = recovery.canonical_generator(p)
+A = np.arange((p - 1) ** 2).reshape(p - 1, p - 1) + 1j
+F = recovery.forward_measure(A, phi, p)
+recovery.recover_matrix(F, phi, p)
+f = np.arange(1, p) + 0.5j
+W = recovery.frame_vectors(phi, p)
+recovery.recover_vector(np.abs(W.conj() @ f) ** 2, phi, p)
+phi_h = np.arange(1, n + 1) + 1j * np.arange(n) ** 2
+heisenberg.h_recover(heisenberg.h_forward(np.eye(n), phi_h), phi_h)
+print("affinephase.reference" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(affinephase.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_package_root_exports_no_oracle():
+    oracles = {"AffineElement", "enumerate_group", "element_index", "pi_matrix", "pi_hat_matrix",
+               "pi_hat0_matrix", "rho1_apply", "rho2_apply", "omega0", "omega1", "oracle_full_map",
+               "oracle_recover", "plancherel_sides", "schrodinger_matrix", "dft_matrix",
+               "CharacterTable", "chi_tilde", "dilation_index", "mod_inverse", "reference"}
+    exported = {name for name, v in vars(affinephase).items()
+                if not name.startswith("_") and not isinstance(v, type(affinephase))}
+    assert not exported & oracles
+    assert len(exported) <= 40
+
+
+def test_recover_matrix_output_is_bit_equal_to_the_library(capsys, tmp_path):
+    p = 13
+    phi = canonical_generator(p)
+    A = RNG.normal(size=(p - 1, p - 1)) + 1j * RNG.normal(size=(p - 1, p - 1))
+    W = frame_vectors(phi, p)
+    F = np.einsum("xm,mn,xn->x", W, A, W.conj())  # <A w, w> for each orbit vector w
+    phi_path = tmp_path / "phi.json"
+    write_vector(phi_path, phi, range(1, p))
+    meas_path = tmp_path / "F.json"
+    meas_path.write_text(json.dumps(
+        {"p": p, "order": "l-outer-k-inner", "values": [[z.real, z.imag] for z in F]}))
+    code, doc = run(capsys, "recover-matrix", "--p", str(p), "--phi", str(phi_path),
+                    "--measurements", str(meas_path))
+    assert code == 0
+    expected = recover_matrix(F, phi, p)
+    got = np.array(doc["values"], dtype=float)
+    assert np.array_equal(got[..., 0], expected.real) and np.array_equal(got[..., 1], expected.imag)
+
+
+def test_output_refuses_a_non_finite_value():
+    with pytest.raises(ValueError):
+        _emit({"residual": float("nan")})
+    with pytest.raises(ValueError):
+        _emit({"values": np.array([1.0, np.inf])})

@@ -4,7 +4,6 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from affinephase.affine import enumerate_group, pi_matrix
 from affinephase.diagnostics import (
     PatchData,
     _affine_coefficients,
@@ -23,8 +22,8 @@ from affinephase.diagnostics import (
     zero_sum_projection,
 )
 from affinephase.errors import InadmissibleGeneratorError, InconsistentDataError
-from affinephase.harmonics import dft_matrix
 from affinephase.recovery import canonical_phase, canonical_time_generator, phase_distance
+from affinephase.reference import dft_matrix, enumerate_group, pi_matrix
 
 RNG = np.random.default_rng(20240817)
 
@@ -166,6 +165,15 @@ def test_conjugate_phase_reconstruct_rejects_non_planar():
     P = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     D = np.linalg.norm(P[:, None] - P[None, :], axis=2)
     with pytest.raises(InconsistentDataError):
+        conjugate_phase_reconstruct(D)
+
+
+def test_conjugate_phase_reconstruct_rejects_negative_moduli():
+    # the moduli are squared into the Gram matrix, so a sign would otherwise be dropped
+    f = np.exp(2j * np.pi * np.arange(5) / 5)  # zero-sum
+    D = np.abs(f[:, None] - f[None, :])
+    D[1, 3] = D[3, 1] = -D[1, 3]
+    with pytest.raises(ValueError, match=re.escape("moduli entry (1, 3) is negative")):
         conjugate_phase_reconstruct(D)
 
 
@@ -405,6 +413,16 @@ def test_projection_phase_retrieval_round_trip():
 def test_recover_from_projection_moduli_shape_check():
     with pytest.raises(ValueError):
         recover_from_projection_moduli(np.zeros((3, 5)), 5)
+
+
+def test_recover_from_projection_moduli_rejects_negative_moduli():
+    # the moduli are squared before recovery, so a sign would otherwise be dropped
+    p = 13
+    f = np.exp(2j * np.pi * np.arange(p) ** 2 / p)
+    moduli = frequency_deleted_moduli(f - f.mean(), p)
+    moduli[0, 0] = -moduli[0, 0]
+    with pytest.raises(ValueError, match=re.escape("moduli entry (0, 0) is negative")):
+        recover_from_projection_moduli(moduli, p)
 
 
 def _with(a, index, value):

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from affinephase.errors import MAX_SIZE, InadmissibleGeneratorError
-from affinephase.heisenberg import (
-    ambiguity,
-    check_generator_h,
-    h_forward,
-    h_recover,
-    schrodinger_matrix,
-)
+from affinephase.heisenberg import ambiguity, check_generator_h, h_forward, h_recover
+from affinephase.reference import schrodinger_matrix
 
 RNG = np.random.default_rng(20240817)
 SIZES = (2, 3, 4, 5)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from affinephase.harmonics import dft_matrix
+from affinephase.reference import dft_matrix
 
 
 def test_dft_matrix_unitary():
