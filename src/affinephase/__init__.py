@@ -8,9 +8,7 @@ from .errors import InadmissibleGeneratorError, InconsistentDataError
 from .affine import ENUMERATION_ORDER_TAG
 from .group_fourier import (
     AffineFourierCoefficients,
-    chi_tilde_all,
     fourier_invert,
-    pi_hat0_transform,
     transform,
 )
 from .recovery import (

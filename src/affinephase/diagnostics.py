@@ -25,9 +25,9 @@ from math import perm
 import numpy as np
 
 from . import recovery
-from .errors import (CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, STITCH_RTOL,
-                     THREE_TRANSITIVE_STITCH_RTOL, ZERO_PATCH_RTOL, InconsistentDataError,
-                     require_finite)
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_RTOL,
+                     REPEAT_MATCH_RTOL, STITCH_RTOL, THREE_TRANSITIVE_STITCH_RTOL,
+                     ZERO_PATCH_RTOL, ZERO_SUM_RTOL, InconsistentDataError, require_finite)
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator, phase_distance
 
@@ -218,14 +218,14 @@ def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     B = -0.5 * J @ (D**2) @ J
     evals, evecs = np.linalg.eigh(B)
     trace = float(np.sum(np.abs(evals)))
-    if evals[0] < -1e-8 * trace:
+    if evals[0] < -GRAM_RTOL * trace:
         raise InconsistentDataError(
             f"inconsistent moduli: negative Gram eigenvalue {evals[0]:.3e}"
         )
-    if n > 3 and float(np.sum(evals[:-2][evals[:-2] > 0])) > 1e-8 * trace:
+    if n > 3 and float(np.sum(evals[:-2][evals[:-2] > 0])) > GRAM_RTOL * trace:
         raise InconsistentDataError("inconsistent moduli: configuration is not planar")
     top = np.maximum(evals[-2:], 0.0)
-    top[top < 1e-12 * trace] = 0.0  # collinear configurations: drop noise axis
+    top[top < COLLINEAR_RTOL * trace] = 0.0  # collinear configurations: drop noise axis
     coords = evecs[:, -2:] * np.sqrt(top)
     z = coords[:, 0] + 1j * coords[:, 1]
     z = z - z.mean()  # exact zero-sum after roundoff
@@ -475,7 +475,7 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     psi0 = require_finite("psi0", psi0)
     if psi0.shape != (3,):
         raise ValueError("psi0 must be a vector on 3 points")
-    if abs(psi0.sum()) > 1e-10 * np.linalg.norm(psi0):
+    if abs(psi0.sum()) > ZERO_SUM_RTOL * np.linalg.norm(psi0):
         raise ValueError("psi0 must be zero-sum")
     phi = np.fft.fft(psi0, norm="ortho")[1:]
 
@@ -489,7 +489,8 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     y = y[np.argsort(cell, kind="stable")]
     start = np.flatnonzero(np.diff(np.sort(cell), prepend=-1))  # 3-transitivity fills every cell
     hi = np.maximum.reduceat(y, start)
-    bad = np.flatnonzero(hi - np.minimum.reduceat(y, start) > 1e-8 * np.maximum(hi, 1.0)) // 6
+    spread = hi - np.minimum.reduceat(y, start)
+    bad = np.flatnonzero(spread > REPEAT_MATCH_RTOL * np.maximum(hi, 1.0)) // 6
     if bad.size:
         raise InconsistentDataError(f"repeated measurements disagree on patch {supports[bad[0]]}")
     mag = (np.add.reduceat(y, start) / np.diff(start, append=len(y))).reshape(-1, 6)
@@ -596,6 +597,6 @@ def projection_phase_retrieval(f) -> np.ndarray:
     f = require_finite("f", f)
     p = len(f)
     validate_prime(p)
-    if abs(f.sum()) > 1e-10 * max(float(np.linalg.norm(f)), 1e-300):
+    if abs(f.sum()) > ZERO_SUM_RTOL * max(float(np.linalg.norm(f)), 1e-300):
         raise ValueError("f must have zero sum")
     return recover_from_projection_moduli(frequency_deleted_moduli(f, p), p)

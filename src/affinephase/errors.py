@@ -27,16 +27,24 @@ THREE_TRANSITIVE_STITCH_RTOL = 1e-7
 #: within this * max(largest modulus, 1), and the second-largest coordinate counts as in
 #: the lower half-plane below -this * largest modulus.
 CONJUGATE_PR_RTOL = 1e-8
+#: Conjugate PR fails on a Gram eigenvalue < -this * trace, or off-plane mass > this * trace.
+GRAM_RTOL = 1e-8
+#: Conjugate PR drops a top Gram axis < this * trace: the noise axis of a collinear configuration.
+COLLINEAR_RTOL = 1e-12
+#: A vector (psi0, or the f of projection phase retrieval) is zero-sum if |sum| <= this * norm.
+ZERO_SUM_RTOL = 1e-10
+#: 3-transitive pipeline: repeated measurements agree within this * max(largest of them, 1).
+REPEAT_MATCH_RTOL = 1e-8
 #: Pauli pairs: two coefficient moduli match within this * the largest coefficient modulus.
 PAULI_MATCH_RTOL = 1e-10
 
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
-#: is about 0.9 GB at this limit.  Each cached p keeps its character table, 16 (p-1)^2
-#: bytes, and its index tables, at most 5 (p-1)^2 + p intp entries or 40 (p-1)^2 + 8p
-#: bytes: about 350 MB per p at this limit.  Each cached generator keeps c_phi, B_phi
-#: and the left inverse W of B_phi, about 32 (p-1)^2 bytes: ~196 MB at p = 2477.
-#: Checked before any primality test.
+#: is about 0.9 GB at this limit.  Each cached p keeps its index tables, at most
+#: 5 (p-1)^2 + p intp entries or 40 (p-1)^2 + 8p bytes, and its O(p) root_powers:
+#: about 245 MB per p at p = 2477, the largest prime below this limit.  Each cached
+#: generator keeps phi, c_phi, B_phi, the left inverse W of B_phi and the step-1
+#: kernel K, 48 (p-1)^2 bytes: ~294 MB at p = 2477.  Checked before any primality test.
 MAX_SIZE = 2500
 
 #: How many moduli (and generators) keep their read-only tables between calls (least

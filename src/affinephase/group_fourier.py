@@ -6,10 +6,12 @@ representation pi_hat0.  No normalization is applied to the transform;
 inversion (and Plancherel, :func:`affinephase.reference.plancherel_sides`)
 carries the |G|^-1 and dimension weights explicitly.
 
-Both parts come from one FFT over k for each l: bin 0 is sum_k F(k,l), which the
-characters act on, and bins 1..p-1 are the entries of pi_hat0(F).  The private
-kernels :func:`_analysis` and :func:`_synthesis` hold this layout; the public
-functions validate their arguments once and call them, and so does recovery.
+Both parts come from one FFT over k for each l: bin 0 is sum_k F(k,l), whose
+character sums are one more FFT over l in discrete-log order
+(:func:`affinephase.primefield.root_powers`), and bins 1..p-1 are the entries of
+pi_hat0(F).  The private kernels :func:`_analysis` and :func:`_synthesis` hold
+this layout; the public functions validate their arguments once and call them,
+and so does recovery.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import index_tables
-from .primefield import character_table, validate_prime
+from .primefield import root_powers, validate_prime
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,8 @@ def transform(F, p: int) -> AffineFourierCoefficients:
     chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), and pi_hat0(F)."""
     F, p = _check_group_function(F, p)
     per_l, M = _analysis(F, p)
-    s = (character_table(p) @ per_l[..., None])[..., 0]  # one gemv per record
+    s = (p - 1) * np.fft.ifft(per_l[..., root_powers(p)], axis=-1)  # l = g^t at position t
     return AffineFourierCoefficients(p, s, M)
-
-
-def chi_tilde_all(F, p: int) -> np.ndarray:
-    """All scalar components chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l), on the last axis."""
-    return transform(F, p).scalar_part
-
-
-def pi_hat0_transform(F, p: int) -> np.ndarray:
-    """Matrix component pi_hat0(F) = sum_{(k,l)} F(k,l) pi_hat0(k,l), on the last axis."""
-    return transform(F, p).matrix_part
 
 
 def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
@@ -87,6 +79,7 @@ def fourier_invert(coeffs: AffineFourierCoefficients) -> np.ndarray:
         raise ValueError(f"scalar part must have p-1 = {p - 1} entries, got {s.shape}")
     if M.shape != (p - 1, p - 1):
         raise ValueError(f"matrix part must be (p-1)x(p-1), got {M.shape}")
-    # sum_k F(k,l) = (p-1)^-1 sum_j s_j conj(chi_j(l)); conj(X)^T s without conjugating X
-    per_l = (character_table(p).T @ s.conj()).conj() / (p - 1)
+    # sum_k F(g^t) = (p-1)^-1 sum_j s_j e^{-2 pi i jt/(p-1)}, with l = g^t
+    per_l = np.empty(p - 1, dtype=complex)
+    per_l[root_powers(p)] = np.fft.fft(s) / (p - 1)
     return _synthesis(per_l, M, p)

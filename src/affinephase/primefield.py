@@ -1,4 +1,4 @@
-"""Modular arithmetic in Z_p / Z_p* and multiplicative character tables.
+"""Modular arithmetic in Z_p / Z_p* and the discrete-log order of its characters.
 
 Integers mod p are always stored as canonical representatives in
 {0..p-1}.  Primes are desk-scale, so primality, inverses and primitive
@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MAX_SIZE, TABLE_CACHE_SIZE
+from .errors import MAX_SIZE
 
 
 def is_prime(n: int) -> bool:
@@ -76,25 +76,17 @@ def primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root found mod {p}")  # unreachable for prime p
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def character_table(p: int) -> np.ndarray:
-    """The p-1 multiplicative characters of Z_p* as a read-only (p-1) x (p-1) array.
-
-    Characters are enumerated relative to the smallest primitive root g:
-    chi_j(g^k) = exp(2*pi*i*j*k/(p-1)), so chi_0 is the trivial character.
-    Entry [j, l-1] holds chi_j(l) for l in {1..p-1}.
-    """
+@lru_cache(maxsize=None)
+def root_powers(p: int) -> np.ndarray:
+    """Read-only index array ``r[t] = (g^t mod p) - 1`` for t in {0..p-2}, g the smallest
+    primitive root: discrete-log order.  With chi_j(g^t) = e^{2 pi i jt/(p-1)}, the character
+    sums of x on {1..p-1} are sum_l x(l) chi_j(l) = (p-1) ifft(x[r])[j]."""
     p = validate_prime(p)
     g = primitive_root(p)
-    dlog = np.empty(p - 1, dtype=np.int64)
+    r = np.empty(p - 1, dtype=np.intp)
     x = 1
-    for k in range(p - 1):
-        dlog[x - 1] = k
+    for t in range(p - 1):
+        r[t] = x - 1
         x = (x * g) % p
-    j = np.arange(p - 1, dtype=np.int64)
-    # reduce the exponent mod p-1 before evaluating, so each entry comes from
-    # an exact rational angle in [0, 2*pi)
-    expo = np.outer(j, dlog) % (p - 1)
-    values = np.exp(2j * np.pi * expo / (p - 1))
-    values.setflags(write=False)
-    return values
+    r.setflags(write=False)
+    return r

@@ -12,8 +12,9 @@ inversion of this map iff
 Recovery proceeds in three steps: the character sums of F determine the
 first column a_1 of SA; the matrix component of the group Fourier transform
 of F determines the remaining block A_2' through the Moore-Penrose left
-inverse of B_phi; applying S* reassembles A.  Phase retrieval of a vector f
-needs only the column of A = f f^H at the largest diagonal entry.
+inverse of B_phi; applying S* reassembles A.  Steps 1 and 2 are each one
+product with an operator built once per generator.  Phase retrieval of a
+vector f needs only the column of A = f f^H at the largest diagonal entry.
 
 An independent oracle (the explicit p(p-1) x (p-1)^2 measurement matrix and
 its pseudo-inverse) lives in :mod:`affinephase.reference`; it shares no code
@@ -31,7 +32,7 @@ from .affine import index_tables, s_apply, s_inverse_apply
 from .errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
 from .group_fourier import _analysis, _synthesis
-from .primefield import character_table, validate_prime
+from .primefield import root_powers, validate_prime
 
 
 def _check_phi(phi, p: int) -> tuple[np.ndarray, int]:
@@ -57,21 +58,23 @@ class _GeneratorPlan:
     """What the forward map and recovery need of one generator: the character sums
     c = c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}, the matrix
     B = B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}, and on first
-    use the left inverse of B_phi.  Every array it holds is read-only."""
+    use the left inverse of B_phi and the kernel K of step 1, all read-only."""
 
     def __init__(self, phi: np.ndarray, p: int):
         self.phi, self.p = phi, p
-        self.c = character_table(p) @ np.abs(phi)[::-1] ** 2  # |phi(-l)|^2 at l-1
+        self.c = (p - 1) * np.fft.ifft((np.abs(phi) ** 2)[::-1][root_powers(p)])
         g = phi[index_tables(p).dilation]  # g[m-1, n-1] = phi(mn)
         self.B = g[:, :-1] * g[:, 1:].conj()
         for a in (self.c, self.B):
             a.setflags(write=False)
 
     @cached_property
-    def factors(self) -> tuple[GeneratorReport, np.ndarray | None]:
-        """Both admissibility conditions, and W = U sigma^-1 V^H / p, from the thin SVD
-        of B_phi that condition (ii) was read from, with its columns scattered by
-        Omega1: A_2' = pi_hat0(F) Omega0^T W (W is None when the rank is short)."""
+    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None]:
+        """Both admissibility conditions; W = U sigma^-1 V^H / p from the thin SVD of
+        B_phi that condition (ii) was read from, columns scattered by Omega1, so that
+        A_2' = pi_hat0(F) Omega0^T W (None when the rank is short); and the kernel of step 1,
+        a_1 = K sum_k F(k, .), K = chi^T diag(1/c) chi / (p(p-1)), whose entry [m-1, l-1]
+        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes)."""
         p, c, B = self.p, self.c, self.B
         scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
         cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
@@ -85,7 +88,13 @@ class _GeneratorPlan:
         if cond_ii:
             W = ((U / sv) @ Vh / p)[:, np.argsort(index_tables(p).omega1)]
             W.setflags(write=False)
-        return report, W
+        K = None
+        if cond_i:
+            kappa = np.empty(p - 1, dtype=complex)
+            kappa[root_powers(p)] = np.fft.ifft(1 / c) / p
+            K = kappa[index_tables(p).dilation]
+            K.setflags(write=False)
+        return report, W, K
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -178,27 +187,25 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
 def _recover_steps(F, phi, p: int):
     """Validate, then steps (1) and (2) from one FFT over k per l (group_fourier's
     analysis kernel): (p, phi, F, W, a_1, X), where A_2' = X @ W.  Bin 0 holds
-    sum_k F(k,l), whose character sums give a_1; the other bins give pi_hat0(F)."""
+    sum_k F(k,l), which the plan's K takes to a_1; the other bins give pi_hat0(F)."""
     plan = _plan(phi, p)
     p, phi, F = plan.p, plan.phi, require_finite("F", F)
     if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report, W = plan.factors
+    report, W, K = plan.factors
     if not report.admissible:
         failed = ["(i) a character sum c_phi vanishes"] * (not report.cond_i_holds)
         failed += [f"(ii) rank(B_phi) = {report.b_phi_rank} < {p - 2}"] * (not report.cond_ii_holds)
         raise InadmissibleGeneratorError("generator fails condition " + " and ".join(failed))
     per_l, M = _analysis(F, p)
-    # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k),
-    # with chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l)
-    chi = character_table(p)
-    s = (chi @ per_l[..., None])[..., 0]
-    a1 = (chi.T @ (s / report.cond_i_values)[..., None])[..., 0]
+    # step 1: a_1(k) = (p(p-1))^-1 sum_j c_phi(chi_j)^-1 chi~_j(F) chi_j(k), with
+    # chi~_j(F) = sum_l (sum_k F(k,l)) chi_j(l); both character sums are folded into K
+    a1 = (K @ per_l[..., None])[..., 0]
     # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
     # the prefactor follows from Schur orthogonality of the unnormalized
     # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
     # reverses the columns; the plan's W holds the rest.
-    return p, phi, F, W, a1 / (p * (p - 1)), M[..., ::-1]
+    return p, phi, F, W, a1, M[..., ::-1]
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Dense oracles that the tests check the structured kernels against.
 
 Nothing in the fast path imports this module.  It holds the group law and
-enumeration of G = Z_p x| Z_p*, the dense matrices of pi, pi_hat and pi_hat0,
-the conjugation actions rho1/rho2, the permutations Omega0 and Omega1, the
-explicit measurement matrix with its least-squares inverse, the Plancherel
-identity, the Schroedinger matrices of the Heisenberg group and the dense DFT
-matrix.  Conventions are those of :mod:`affinephase.affine`.
+enumeration of G = Z_p x| Z_p*, the dense character table of Z_p*, the dense
+matrices of pi, pi_hat and pi_hat0, the conjugation actions rho1/rho2, the
+permutations Omega0 and Omega1, the explicit measurement matrix with its
+least-squares inverse, the Plancherel identity, the Schroedinger matrices of
+the Heisenberg group and the dense DFT matrix.  Conventions are those of
+:mod:`affinephase.affine`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,32 @@ from .affine import _check_square
 from .errors import RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError
 from .group_fourier import transform
 from .heisenberg import _check_n
-from .primefield import inverse_table, validate_prime
+from .primefield import inverse_table, primitive_root, validate_prime
 from .recovery import frame_vectors
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def character_table(p: int) -> np.ndarray:
+    """The p-1 multiplicative characters of Z_p* as a read-only (p-1) x (p-1) array.
+
+    Characters are enumerated relative to the smallest primitive root g:
+    chi_j(g^k) = exp(2*pi*i*j*k/(p-1)), so chi_0 is the trivial character.
+    Entry [j, l-1] holds chi_j(l) for l in {1..p-1}.
+    """
+    p = validate_prime(p)
+    g = primitive_root(p)
+    dlog = np.empty(p - 1, dtype=np.int64)
+    x = 1
+    for k in range(p - 1):
+        dlog[x - 1] = k
+        x = (x * g) % p
+    j = np.arange(p - 1, dtype=np.int64)
+    # reduce the exponent mod p-1 before evaluating, so each entry comes from
+    # an exact rational angle in [0, 2*pi)
+    expo = np.outer(j, dlog) % (p - 1)
+    values = np.exp(2j * np.pi * expo / (p - 1))
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def test_criterion_04_necessity_witnesses():
                 witnesses = []
                 if len(zeros):
                     # condition (i) witness: first column = the vanishing character
-                    from affinephase.primefield import character_table
+                    from affinephase.reference import character_table
 
                     a1 = character_table(p)[zeros[0]]
                     block = np.zeros((p - 1, p - 1), dtype=complex)

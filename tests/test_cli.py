@@ -368,7 +368,8 @@ def test_package_root_exports_no_oracle():
     oracles = {"AffineElement", "enumerate_group", "element_index", "pi_matrix", "pi_hat_matrix",
                "pi_hat0_matrix", "rho1_apply", "rho2_apply", "omega0", "omega1", "oracle_full_map",
                "oracle_recover", "plancherel_sides", "schrodinger_matrix", "dft_matrix",
-               "CharacterTable", "chi_tilde", "dilation_index", "mod_inverse", "reference"}
+               "CharacterTable", "chi_tilde", "dilation_index", "mod_inverse", "reference",
+               "character_table", "chi_tilde_all", "pi_hat0_transform"}
     exported = {name for name, v in vars(affinephase).items()
                 if not name.startswith("_") and not isinstance(v, type(affinephase))}
     assert not exported & oracles

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from affinephase.group_fourier import chi_tilde_all, fourier_invert, pi_hat0_transform, transform
-from affinephase.primefield import character_table
-from affinephase.reference import enumerate_group, pi_hat0_matrix, plancherel_sides
+from affinephase.group_fourier import AffineFourierCoefficients, fourier_invert, transform
+from affinephase.reference import character_table, enumerate_group, pi_hat0_matrix, plancherel_sides
 
 RNG = np.random.default_rng(20240817)
 
@@ -18,7 +17,7 @@ def test_chi_tilde_against_elementwise_sum():
     p = 5
     F = rand_group_function(p)
     table = character_table(p)
-    all_vals = chi_tilde_all(F, p)
+    all_vals = transform(F, p).scalar_part
     for j in range(p - 1):
         direct = sum(
             F[(l - 1) * p + k] * table[j, l - 1] for l in range(1, p) for k in range(p)
@@ -32,7 +31,7 @@ def test_pi_hat0_transform_against_elementwise_sum():
         direct = np.zeros((p - 1, p - 1), dtype=complex)
         for i, x in enumerate(enumerate_group(p)):
             direct += F[i] * pi_hat0_matrix(x)
-        err = np.max(np.abs(pi_hat0_transform(F, p) - direct))
+        err = np.max(np.abs(transform(F, p).matrix_part - direct))
         assert err <= 1e-12 * np.max(np.abs(direct)), (p, err)
 
 
@@ -61,4 +60,20 @@ def test_plancherel():
 
 def test_length_validation():
     with pytest.raises(ValueError):
-        chi_tilde_all(np.zeros(10), 5)
+        transform(np.zeros(10), 5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 61])
+def test_character_sums_match_the_dense_table(p):
+    chi = character_table(p)
+    F = rand_group_function(p)
+    want = chi @ F.reshape(p - 1, p).sum(axis=1)
+    got = transform(F, p).scalar_part
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # F(k,l) = |G|^-1 [sum_j s_j conj(chi_j(l)) + (p-1) tr(M pi_hat0(k,l)^*)]
+    s = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    M = RNG.normal(size=(p - 1, p - 1)) + 1j * RNG.normal(size=(p - 1, p - 1))
+    want = np.array([(s @ chi[:, x.l - 1].conj() + (p - 1) * np.vdot(pi_hat0_matrix(x), M))
+                     for x in enumerate_group(p)]) / (p * (p - 1))
+    got = fourier_invert(AffineFourierCoefficients(p, s, M))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

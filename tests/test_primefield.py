@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from affinephase.errors import MAX_SIZE
-from affinephase.primefield import (
-    character_table,
-    inverse_table,
-    is_prime,
-    primitive_root,
-    validate_prime,
-)
+from affinephase.primefield import (inverse_table, is_prime, primitive_root, root_powers,
+                                    validate_prime)
+from affinephase.reference import character_table
 
 
 def test_is_prime_small_values():
@@ -95,3 +91,14 @@ def test_character_table_readonly():
     V = character_table(7)
     with pytest.raises(ValueError):
         V[0, 0] = 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 61])
+def test_root_powers_is_the_read_only_discrete_log_order(p):
+    r = root_powers(p)
+    assert root_powers(p) is r
+    assert r.dtype == np.intp
+    with pytest.raises(ValueError):
+        r[0] = 1
+    assert sorted(r.tolist()) == list(range(p - 1))
+    assert r[0] == 0 and r[1] == primitive_root(p) - 1

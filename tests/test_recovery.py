@@ -6,7 +6,7 @@ import pytest
 
 from affinephase.errors import (RANK_ONE_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                                InconsistentDataError)
-from affinephase.primefield import character_table, inverse_table, primitive_root
+from affinephase.primefield import inverse_table, primitive_root, root_powers
 from affinephase.recovery import (
     _generator_plan,
     b_phi,
@@ -22,8 +22,8 @@ from affinephase.recovery import (
     recover_vector,
 )
 from affinephase.affine import index_tables
-from affinephase.reference import (dft_matrix, enumerate_group, oracle_full_map, oracle_recover,
-                                   pi_hat0_matrix)
+from affinephase.reference import (character_table, dft_matrix, enumerate_group, oracle_full_map,
+                                   oracle_recover, pi_hat0_matrix)
 
 RNG = np.random.default_rng(20240817)
 PRIMES = (3, 5, 7)
@@ -87,6 +87,29 @@ def generators(p):
 def inadmissible_generators(p):
     """ones (c_phi vanishes), delta at label 1 and delta at label p-1 (rank-deficient B_phi)."""
     return np.ones(p - 1), np.eye(p - 1)[0], np.eye(p - 1)[-1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 61])
+def test_plan_character_sums_and_step_one_kernel_match_the_dense_table(p):
+    chi = character_table(p)
+    for phi in generators(p):
+        c = chi @ np.abs(phi[::-1]) ** 2  # |phi(-l)|^2 at l-1
+        assert np.max(np.abs(c_phi(phi, p) - c)) <= 1e-12 * np.max(np.abs(c))
+        K = _generator_plan(p, phi.tobytes()).factors[2]
+        want = chi.T @ (chi / c[:, None]) / (p * (p - 1))
+        assert not K.flags.writeable
+        assert np.max(np.abs(K - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_generator_failing_condition_i_has_no_step_one_kernel(p):
+    # |phi| = 1 puts equal weight on every l, so c_phi(chi_j) = 0 for j != 0
+    phi = np.exp(2j * np.pi * RNG.uniform(size=p - 1))
+    report, W, K = _generator_plan(p, phi.tobytes()).factors
+    assert not report.cond_i_holds and K is None
+    with pytest.raises(InadmissibleGeneratorError) as exc:
+        recover_matrix(np.zeros(p * (p - 1)), phi, p)
+    assert str(exc.value) == "generator fails condition (i) a character sum c_phi vanishes"
 
 
 def test_frame_vectors_match_pi_hat0_action():
@@ -442,7 +465,7 @@ def test_numpy_integer_modulus_shares_the_int_caches():
     A = rand_matrix(p - 1)
     F = forward_measure(A, phi, p)
     rec = recover_matrix(F, phi, p)
-    caches = (character_table, index_tables, inverse_table, primitive_root, _generator_plan)
+    caches = (root_powers, index_tables, inverse_table, primitive_root, _generator_plan)
     misses = [c.cache_info().misses for c in caches]
     F64 = forward_measure(A, phi, np.int64(p))
     assert np.array_equal(F64, F)
