@@ -4,9 +4,12 @@ File formats:
   * vector: {"labels": [...], "values": [[re, im], ...]}
   * matrix: {"row_labels": [...], "col_labels": [...],
              "values": [[[re, im], ...], ...]}
-  * measurements: {"p": P, "order": "l-outer-k-inner", "values": [...]}
-    with values either [re, im] pairs or plain numbers (modulus data);
+  * measurements: {"p": P, "order": "l-outer-k-inner", "values": [...]};
     the order tag is mandatory and must match the canonical enumeration.
+  * stitch patches: {"n": N, "patches": [{"support": [i, j, k], "values": [...]}, ...]}
+    with integers n in 1..MAX_SIZE and i, j, k.
+Each values list holds all [re, im] pairs or all plain numbers (real data such as
+moduli); a list that mixes the two, or a number outside double range, exits 2.
 
 Exit codes: 0 success, 2 validation error (malformed input, length
 mismatch, p or n above errors.MAX_SIZE, inadmissible generator), 3 numerical
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import diagnostics, heisenberg, recovery
 from .affine import ENUMERATION_ORDER_TAG
-from .errors import InconsistentDataError
+from .errors import MAX_SIZE, InconsistentDataError
 from .primefield import validate_prime
 
 EXIT_OK = 0
@@ -70,51 +73,73 @@ def _load_json(path: str):
         raise ValueError(f"malformed JSON in {path}: {e}") from e
 
 
-def _as_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(v, (int, float)) for v in entry)
-    ):
-        return complex(entry[0], entry[1])
-    raise ValueError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+def _is_number(v) -> bool:
+    """A JSON number no larger in magnitude than the largest double; booleans count as 0, 1."""
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
 
 
-def _read_vector(path: str, expected_labels=None) -> np.ndarray:
+def _entries(values, where: str, ndim: int):
+    """(name, entry) for each entry ``ndim`` lists deep, or a non-list above it, in order."""
+    if ndim and isinstance(values, list):
+        for i, v in enumerate(values):
+            yield from _entries(v, f"{where}[{i}]", ndim - 1)
+    else:
+        yield where, values
+
+
+def _complex_array(values, where: str, ndim: int, real: bool = False) -> np.ndarray:
+    """A parsed values list of plain numbers, or of [re, im] pairs along one more axis,
+    as an ``ndim``-d complex array by one ``np.asarray``; with ``real``, as a float one
+    if every imaginary part is zero.  Only a list that fails these checks is walked, so
+    that the ValueError names its first bad entry, or a mix of numbers and pairs."""
+    try:
+        a = np.asarray(values)
+        ok = a.dtype.kind in "biuf" and (a.ndim == ndim or a.ndim == ndim + 1 and a.shape[-1] == 2)
+    except ValueError:  # ragged, or numbers mixed with pairs
+        ok = False
+    if not ok:
+        forms = set()  # the array's ndim: ndim for numbers, ndim + 1 for pairs
+        for at, v in _entries(values, where, ndim):
+            if _is_number(v):
+                forms.add(ndim)
+            elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+                forms.add(ndim + 1)
+            else:
+                raise ValueError(f"{at}: expected a number or [re, im] pair, got {v!r}")
+        if len(forms) > 1:
+            raise ValueError(f"{where}: mixes plain numbers with [re, im] pairs")
+        try:
+            a = np.asarray(values, dtype=float)  # integers beyond int64 convert here
+        except ValueError:
+            a = None
+        if a is None or a.ndim != max(forms, default=ndim):
+            raise ValueError(f"{where}: ragged, or not {ndim}-d")
+    if a.ndim == ndim:
+        return a.astype(float if real else complex)
+    if not real:  # bit-exact: the pair's doubles are the complex number's
+        return a.astype(float).view(complex)[..., 0]
+    if np.any(a[..., 1]):
+        raise ValueError(f"{where}: must be real, but an imaginary part is nonzero")
+    return a[..., 0].astype(float)
+
+
+def _read_vector(path: str, labels) -> np.ndarray:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "values" not in doc:
         raise ValueError(f"{path}: expected a vector object with a 'values' field")
-    values = np.array(
-        [_as_complex(v, f"{path} values[{i}]") for i, v in enumerate(doc["values"])]
-    )
-    if expected_labels is not None:
-        labels = doc.get("labels")
-        if labels is not None and list(labels) != list(expected_labels):
-            raise ValueError(
-                f"{path}: labels {labels} do not match expected {list(expected_labels)}"
-            )
-        if len(values) != len(expected_labels):
-            raise ValueError(
-                f"{path}: expected {len(expected_labels)} values, got {len(values)}"
-            )
+    values = _complex_array(doc["values"], f"{path} values", 1)
+    if doc.get("labels") is not None and list(doc["labels"]) != list(labels):
+        raise ValueError(f"{path}: labels {doc['labels']} do not match expected {list(labels)}")
+    if len(values) != len(labels):
+        raise ValueError(f"{path}: expected {len(labels)} values, got {len(values)}")
     return values
 
 
-def _read_matrix(path: str, shape=None) -> np.ndarray:
+def _read_matrix(path: str, shape=None, real: bool = False) -> np.ndarray:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "values" not in doc:
         raise ValueError(f"{path}: expected a matrix object with a 'values' field")
-    rows = doc["values"]
-    M = np.array(
-        [
-            [_as_complex(v, f"{path} values[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    )
-    if M.ndim != 2:
-        raise ValueError(f"{path}: ragged or non-2d matrix values")
+    M = _complex_array(doc["values"], f"{path} values", 2, real)
     if shape is not None and M.shape != shape:
         raise ValueError(f"{path}: expected shape {shape}, got {M.shape}")
     return M
@@ -135,12 +160,7 @@ def _read_measurements(path: str, p: int, real: bool = False) -> np.ndarray:
         raise ValueError(
             f"{path}: expected p(p-1) = {p * (p - 1)} values, got {len(values)}"
         )
-    F = np.array([_as_complex(v, f"{path} values[{i}]") for i, v in enumerate(values)])
-    if real:
-        if np.max(np.abs(F.imag), initial=0.0) > 0:
-            raise ValueError(f"{path}: modulus measurements must be real")
-        return F.real
-    return F
+    return _complex_array(values, f"{path} values", 1, real)
 
 
 def _vector_doc(values, labels) -> dict:
@@ -157,6 +177,14 @@ def _matrix_doc(M, row_labels, col_labels) -> dict:
 
 def _measurement_doc(F, p: int) -> dict:
     return {"p": p, "order": ENUMERATION_ORDER_TAG, "values": np.asarray(F, dtype=complex)}
+
+
+def _emit_with_residual(out: dict, fitted, F) -> int:
+    """Print ``out`` with the residual ||fitted - F|| and its ratio to ||F||."""
+    resid = float(np.linalg.norm(fitted - F))
+    scale = max(float(np.linalg.norm(F)), np.finfo(float).tiny)
+    _emit({**out, "residual": resid, "relative_residual": resid / scale})
+    return EXIT_OK
 
 
 def _seed(default: int = 0) -> int:
@@ -210,8 +238,7 @@ def _cmd_gen_vector(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    p = args.p
-    validate_prime(p)
+    p = validate_prime(args.p)
     phi = _read_vector(args.phi, range(1, p))
     A = _read_matrix(args.matrix, (p - 1, p - 1))
     F = recovery.forward_measure(A, phi, p)
@@ -220,33 +247,20 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_recover_matrix(args) -> int:
-    p = args.p
-    validate_prime(p)
+    p = validate_prime(args.p)
     phi = _read_vector(args.phi, range(1, p))
     F = _read_measurements(args.measurements, p)
     A = recovery.recover_matrix(F, phi, p)
-    resid = float(np.linalg.norm(recovery.forward_measure(A, phi, p) - F))
-    scale = max(float(np.linalg.norm(F)), np.finfo(float).tiny)
-    out = _matrix_doc(A, range(1, p), range(1, p))
-    out["residual"] = resid
-    out["relative_residual"] = resid / scale
-    _emit(out)
-    return EXIT_OK
+    return _emit_with_residual(_matrix_doc(A, range(1, p), range(1, p)),
+                               recovery.forward_measure(A, phi, p), F)
 
 
 def _cmd_recover_vector(args) -> int:
-    p = args.p
-    validate_prime(p)
+    p = validate_prime(args.p)
     phi = _read_vector(args.phi, range(1, p))
     F = _read_measurements(args.measurements, p, real=True)
     f = recovery.recover_vector(F.astype(complex), phi, p)
-    resid = float(np.linalg.norm(recovery._modulus_measure(f, phi, p) - F))
-    scale = max(float(np.linalg.norm(F)), np.finfo(float).tiny)
-    out = _vector_doc(f, range(1, p))
-    out["residual"] = resid
-    out["relative_residual"] = resid / scale
-    _emit(out)
-    return EXIT_OK
+    return _emit_with_residual(_vector_doc(f, range(1, p)), recovery._modulus_measure(f, phi, p), F)
 
 
 def _cmd_heisenberg(args) -> int:
@@ -277,9 +291,7 @@ def _cmd_heisenberg(args) -> int:
     F = _read_matrix(args.measurements, (n, n))
     A = heisenberg.h_recover(F, phi)
     resid = float(np.linalg.norm(heisenberg.h_forward(A, phi) - F))
-    out = _matrix_doc(A, range(n), range(n))
-    out["residual"] = resid
-    _emit(out)
+    _emit({**_matrix_doc(A, range(n), range(n)), "residual": resid})
     return EXIT_OK
 
 
@@ -289,9 +301,7 @@ def _read_vector_list(path: str) -> np.ndarray:
         doc = doc.get("vectors")
     if not isinstance(doc, list) or not doc:
         raise ValueError(f"{path}: expected a nonempty list of vectors (or 'vectors' field)")
-    return np.array(
-        [[_as_complex(v, f"{path} vector {i}") for v in row] for i, row in enumerate(doc)]
-    )
+    return _complex_array(doc, f"{path} vectors", 2)
 
 
 def _cmd_diagnostics(args) -> int:
@@ -306,29 +316,25 @@ def _cmd_diagnostics(args) -> int:
         _emit({"full_spark": diagnostics.full_spark(V)})
         return EXIT_OK
     if kind == "conj-pr":
-        D = _read_matrix(args.moduli)
-        if np.max(np.abs(D.imag), initial=0.0) > 0:
-            raise ValueError("moduli matrix must be real")
-        f = diagnostics.conjugate_phase_reconstruct(D.real)
+        f = diagnostics.conjugate_phase_reconstruct(_read_matrix(args.moduli, real=True))
         _emit(_vector_doc(f, range(len(f))))
         return EXIT_OK
     if kind == "stitch":
         doc = _load_json(args.patches)
         if not isinstance(doc, dict) or "n" not in doc or "patches" not in doc:
             raise ValueError(f"{args.patches}: expected fields 'n' and 'patches'")
+        n = doc["n"]
+        if type(n) is not int or not 1 <= n <= MAX_SIZE:
+            raise ValueError(f"{args.patches}: n must be an integer in 1..{MAX_SIZE}, got {n!r}")
         patches = [
-            diagnostics.PatchData(
-                support=tuple(q["support"]),
-                values=[_as_complex(v, "patch value") for v in q["values"]],
-            )
-            for q in doc["patches"]
+            diagnostics.PatchData(tuple(q["support"]),
+                                  _complex_array(q["values"], f"{args.patches} patches[{k}] values", 1))
+            for k, q in enumerate(doc["patches"])
         ]
-        f = diagnostics.phase_propagation_stitch(patches, int(doc["n"]))
-        _emit(_vector_doc(f, range(int(doc["n"]))))
+        _emit(_vector_doc(diagnostics.phase_propagation_stitch(patches, n), range(n)))
         return EXIT_OK
     if kind == "pauli":
-        p = args.p
-        validate_prime(p)
+        p = validate_prime(args.p)
         f = _read_vector(args.f, range(p))
         g = _read_vector(args.g, range(p))
         psi = (
@@ -339,12 +345,9 @@ def _cmd_diagnostics(args) -> int:
         _emit(dataclasses.asdict(diagnostics.pauli_pair_family(f, g, psi)))
         return EXIT_OK
     if kind == "projection-pr":
-        p = args.p
-        validate_prime(p)
-        D = _read_matrix(args.moduli, (p - 1, p))
-        if np.max(np.abs(D.imag), initial=0.0) > 0:
-            raise ValueError("moduli table must be real")
-        f = diagnostics.recover_from_projection_moduli(D.real, p)
+        p = validate_prime(args.p)
+        D = _read_matrix(args.moduli, (p - 1, p), real=True)
+        f = diagnostics.recover_from_projection_moduli(D, p)
         _emit(_vector_doc(f, range(p)))
         return EXIT_OK
     raise ValueError(f"unknown diagnostics kind {kind!r}")
@@ -398,10 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase retrieval and matrix recovery for affine group frames",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    affine = argparse.ArgumentParser(add_help=False)
+    affine.add_argument("--p", type=int, required=True)
+    affine.add_argument("--phi", required=True)
 
-    s = sub.add_parser("check-generator", help="evaluate generator admissibility")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--phi", required=True)
+    s = sub.add_parser("check-generator", parents=[affine], help="evaluate generator admissibility")
     s.set_defaults(func=_cmd_check_generator)
 
     s = sub.add_parser("gen-vector", help="emit the canonical generator")
@@ -409,21 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--time-side", action="store_true")
     s.set_defaults(func=_cmd_gen_vector)
 
-    s = sub.add_parser("forward", help="apply the measurement map to a matrix")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--phi", required=True)
+    s = sub.add_parser("forward", parents=[affine], help="apply the measurement map to a matrix")
     s.add_argument("--matrix", required=True)
     s.set_defaults(func=_cmd_forward)
 
-    s = sub.add_parser("recover-matrix", help="invert the measurement map")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--phi", required=True)
+    s = sub.add_parser("recover-matrix", parents=[affine], help="invert the measurement map")
     s.add_argument("--measurements", required=True)
     s.set_defaults(func=_cmd_recover_matrix)
 
-    s = sub.add_parser("recover-vector", help="phase retrieval from modulus data")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--phi", required=True)
+    s = sub.add_parser("recover-vector", parents=[affine], help="phase retrieval from modulus data")
     s.add_argument("--measurements", required=True)
     s.set_defaults(func=_cmd_recover_vector)
 

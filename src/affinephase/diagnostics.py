@@ -331,8 +331,9 @@ class PatchData:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.support) != 3 or len(set(self.support)) != 3:
-            raise ValueError("patch support must consist of 3 distinct indices")
+        s = self.support
+        if len(s) != 3 or len(set(s)) != 3 or not all(isinstance(i, (int, np.integer)) for i in s):
+            raise ValueError(f"patch support must consist of 3 distinct integer indices, got {s}")
         v = require_finite("patch values", self.values)
         if v.shape != (3,):
             raise ValueError("patch carries exactly 3 values")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,16 @@ import numpy as np
 import pytest
 
 import affinephase
-from affinephase.cli import _emit, main
-from affinephase.recovery import canonical_generator, frame_vectors, phase_distance, recover_matrix
+from affinephase import diagnostics, heisenberg, recovery
+from affinephase.cli import _emit, _read_matrix, main
+from affinephase.errors import MAX_SIZE
+from affinephase.recovery import (
+    canonical_generator,
+    canonical_time_generator,
+    frame_vectors,
+    phase_distance,
+    recover_matrix,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -47,6 +56,16 @@ def parse_vector(doc):
 
 def parse_matrix(doc):
     return np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
+
+
+def emitted(capsys, doc):
+    """What the CLI prints for ``doc``: the library's answer, serialized alike."""
+    _emit(doc)
+    return capsys.readouterr().out
+
+
+def pairs(z):
+    return [[c.real, c.imag] for c in np.asarray(z, dtype=complex)]
 
 
 def test_gen_vector_canonical_p5(capsys):
@@ -400,3 +419,202 @@ def test_output_refuses_a_non_finite_value():
         _emit({"residual": float("nan")})
     with pytest.raises(ValueError):
         _emit({"values": np.array([1.0, np.inf])})
+
+
+# ---------------------------------------------------------------------------
+# every reader, on the paths that only it takes
+
+
+def test_diagnostics_stitch(capsys, tmp_path):
+    n = 5
+    f = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+    f -= f.mean()
+    supports = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)]
+    patches = [{"support": list(s), "values": pairs(np.exp(1j * k) * diagnostics.zero_sum_projection(f, s))}
+               for k, s in enumerate(supports)]
+    path = tmp_path / "patches.json"
+    path.write_text(json.dumps({"n": n, "patches": patches}))
+    code, doc = run(capsys, "diagnostics", "stitch", "--patches", str(path))
+    assert code == 0 and doc["labels"] == list(range(n))
+    assert phase_distance(parse_vector(doc), f) < 1e-10
+
+
+def test_diagnostics_pauli_matches_the_library(capsys, tmp_path):
+    p = 5
+    f = RNG.normal(size=p) + 1j * RNG.normal(size=p)
+    paths = []
+    for name, v in (("f", f), ("g", np.exp(1.3j) * f)):
+        paths.append(tmp_path / f"{name}.json")
+        write_vector(paths[-1], v, range(p))
+    main(["diagnostics", "pauli", "--p", str(p), "--f", str(paths[0]), "--g", str(paths[1])])
+    out = capsys.readouterr().out
+    rep = diagnostics.pauli_pair_family(f, np.exp(1.3j) * f, canonical_time_generator(p))
+    assert rep.all_hold and out == emitted(capsys, dataclasses.asdict(rep))
+
+
+def test_diagnostics_full_spark_reads_pairs(capsys, tmp_path):
+    V = RNG.normal(size=(5, 3)) + 1j * RNG.normal(size=(5, 3))
+    path = tmp_path / "vecs.json"
+    path.write_text(json.dumps([pairs(row) for row in V]))
+    code, doc = run(capsys, "diagnostics", "full-spark", "--vectors", str(path))
+    assert code == 0 and doc == {"full_spark": diagnostics.full_spark(V)} == {"full_spark": True}
+
+
+def test_heisenberg_check_and_forward_match_the_library(capsys, tmp_path):
+    n = 6
+    phi = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+    A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+    phi_path, mat_path = tmp_path / "phi.json", tmp_path / "A.json"
+    write_vector(phi_path, phi, range(n))
+    write_matrix(mat_path, A)
+    main(["heisenberg", "--n", str(n), "check", "--phi", str(phi_path)])
+    out = capsys.readouterr().out
+    amb = float(np.min(np.abs(heisenberg.ambiguity(phi))))
+    expected = {"n": n, "admissible": heisenberg.check_generator_h(phi), "min_ambiguity_modulus": amb}
+    assert out == emitted(capsys, expected)
+    main(["heisenberg", "--n", str(n), "forward", "--phi", str(phi_path), "--matrix", str(mat_path)])
+    out = capsys.readouterr().out
+    expected = {"row_labels": list(range(n)), "col_labels": list(range(n)),
+                "values": heisenberg.h_forward(A, phi)}
+    assert out == emitted(capsys, expected)
+
+
+def write_affine_inputs(tmp_path, p):
+    """phi.json, A.json and F.json for ``forward`` and ``recover-matrix`` at p."""
+    phi = canonical_generator(p)
+    A = RNG.normal(size=(p - 1, p - 1)) + 1j * RNG.normal(size=(p - 1, p - 1))
+    F = np.einsum("xm,mn,xn->x", frame_vectors(phi, p), A, frame_vectors(phi, p).conj())
+    docs = {
+        "phi": {"labels": list(range(1, p)), "values": pairs(phi)},
+        "A": {"row_labels": list(range(1, p)), "col_labels": list(range(1, p)),
+              "values": [pairs(row) for row in A]},
+        "F": {"p": p, "order": "l-outer-k-inner", "values": pairs(F)},
+    }
+    return {name: tmp_path / f"{name}.json" for name in docs}, docs
+
+
+def write_docs(paths, docs):
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+
+
+def write_with(paths, docs, name, index, value):
+    """Write every doc, with ``value`` at ``index`` of the values of ``name``."""
+    entry = docs[name]["values"]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = value
+    write_docs(paths, docs)
+
+
+def run_affine(paths, command="forward", p=5):
+    extra = ["--matrix", str(paths["A"])] if command == "forward" else ["--measurements", str(paths["F"])]
+    return main([command, "--p", str(p), "--phi", str(paths["phi"]), *extra])
+
+
+@pytest.mark.parametrize(
+    "name, index, where",
+    [("phi", (2,), "values[2]"), ("A", (1, 2), "values[1][2]"), ("F", (7,), "values[7]")],
+    ids=["vector", "matrix", "measurements"],
+)
+def test_exit_code_2_names_the_bad_entry(capsys, tmp_path, name, index, where):
+    paths, docs = write_affine_inputs(tmp_path, 5)
+    write_with(paths, docs, name, index, "x")
+    code = run_affine(paths, "forward" if name == "A" else "recover-matrix")
+    assert code == 2
+    assert f"{paths[name]} {where}: expected a number or [re, im] pair, got 'x'" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_label_mismatch(capsys, tmp_path):
+    phi_path = tmp_path / "phi.json"
+    write_vector(phi_path, canonical_generator(5), range(4))
+    assert main(["check-generator", "--p", "5", "--phi", str(phi_path)]) == 2
+    assert "do not match expected [1, 2, 3, 4]" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_ragged_matrix(capsys, tmp_path):
+    paths, docs = write_affine_inputs(tmp_path, 5)
+    docs["A"]["values"][2].pop()
+    write_docs(paths, docs)
+    assert run_affine(paths, "forward") == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", ["recover-vector", "conj-pr", "projection-pr"])
+def test_exit_code_2_on_nonzero_imaginary_part(capsys, tmp_path, kind):
+    p = 5
+    path = tmp_path / "in.json"
+    if kind == "recover-vector":
+        phi_path = tmp_path / "phi.json"
+        write_vector(phi_path, canonical_generator(p), range(1, p))
+        values = [[1.0, 0.0]] * (p * (p - 1))
+        values[3] = [1.0, 0.5]
+        path.write_text(json.dumps({"p": p, "order": "l-outer-k-inner", "values": values}))
+        argv = [kind, "--p", str(p), "--phi", str(phi_path), "--measurements", str(path)]
+    else:
+        shape = (p, p) if kind == "conj-pr" else (p - 1, p)
+        D = np.ones(shape, dtype=complex)
+        D[1, 2] += 0.5j
+        write_matrix(path, D)
+        argv = ["diagnostics", kind, "--moduli", str(path)] + (["--p", str(p)] if kind == "projection-pr" else [])
+    assert main(argv) == 2
+    assert "must be real" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, index, command",
+    [("phi", (1,), "check-generator"), ("A", (0, 1), "forward"), ("F", (3,), "recover-matrix")],
+    ids=["vector", "matrix", "measurements"],
+)
+def test_exit_code_2_on_an_integer_beyond_double_range(capsys, tmp_path, name, index, command):
+    paths, docs = write_affine_inputs(tmp_path, 5)
+    write_with(paths, docs, name, index, [10**400, 0])
+    if command == "check-generator":
+        code = main([command, "--p", "5", "--phi", str(paths["phi"])])
+    else:
+        code = run_affine(paths, command)
+    assert code == 2
+    where = "values" + "".join(f"[{i}]" for i in index)
+    assert f"{paths[name]} {where}: expected a number or [re, im] pair, got [1000" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_numbers_mixed_with_pairs(capsys, tmp_path):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps({"labels": [1, 2, 3, 4], "values": [0, [1, 0], 1, 1]}))
+    assert main(["check-generator", "--p", "5", "--phi", str(phi_path)]) == 2
+    assert f"{phi_path} values: mixes plain numbers with [re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, support, message",
+    [(3, [0, 1.5, 2], "integer indices"), (3.7, [0, 1, 2], "n must be an integer"),
+     (True, [0, 1, 2], "n must be an integer"), (MAX_SIZE + 1, [0, 1, 2], "n must be an integer")],
+    ids=["support-1.5", "n-3.7", "n-true", "n-above-MAX_SIZE"],
+)
+def test_exit_code_2_on_a_non_integer_stitch_index(capsys, tmp_path, n, support, message):
+    path = tmp_path / "patches.json"
+    path.write_text(json.dumps({"n": n, "patches": [{"support": support, "values": [1, -2, 1]}]}))
+    assert main(["diagnostics", "stitch", "--patches", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["pairs", "numbers"])
+def test_forward_output_is_bit_equal_to_the_library(capsys, tmp_path, form):
+    # -0.0 and integer entries read to the same doubles as complex(re, im) gives
+    p = 13
+    phi = canonical_generator(p)
+    values = RNG.normal(size=(p - 1, p - 1, 2)).tolist()
+    values[0][0], values[1][2], values[3][3] = [-0.0, 3], [2, -0.0], [-7, 0]
+    if form == "numbers":
+        values = [[re for re, _ in row] for row in values]
+        A = np.array([[complex(re) for re in row] for row in values])
+    else:
+        A = np.array([[complex(re, im) for re, im in row] for row in values])
+    paths, docs = write_affine_inputs(tmp_path, p)
+    docs["A"]["values"] = values
+    write_docs(paths, docs)
+    assert _read_matrix(str(paths["A"])).tobytes() == A.tobytes()
+    code, doc = run(capsys, "forward", "--p", str(p), "--phi", str(paths["phi"]), "--matrix", str(paths["A"]))
+    assert code == 0
+    expected = recovery.forward_measure(A, phi, p)
+    assert np.array(doc["values"], dtype=float).tobytes() == expected.view(float).tobytes()

@@ -209,6 +209,12 @@ def test_phase_propagation_stitch_round_trip():
     assert phase_distance(g, f) < 1e-10
 
 
+def test_patch_support_must_hold_integers():
+    with pytest.raises(ValueError, match="integer indices"):
+        PatchData(support=(0, 1.5, 2), values=np.zeros(3))
+    assert PatchData(support=(np.int64(0), 1, 2), values=np.zeros(3)).support[0] == 0
+
+
 def test_phase_propagation_stitch_detects_conflict():
     n = 5
     f = rand_zero_sum(n)
