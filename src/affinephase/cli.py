@@ -94,7 +94,8 @@ def _complex_array(values, where: str, ndim: int, real: bool = False) -> np.ndar
     that the ValueError names its first bad entry, or a mix of numbers and pairs."""
     try:
         a = np.asarray(values)
-        ok = a.dtype.kind in "biuf" and (a.ndim == ndim or a.ndim == ndim + 1 and a.shape[-1] == 2)
+        ok = (a.dtype.kind in "biuf" and (a.ndim == ndim or a.ndim == ndim + 1 and a.shape[-1] == 2)
+              and bool(np.isfinite(a).all()))  # json.load reads 1e400 as inf
     except ValueError:  # ragged, or numbers mixed with pairs
         ok = False
     if not ok:
@@ -321,16 +322,18 @@ def _cmd_diagnostics(args) -> int:
         return EXIT_OK
     if kind == "stitch":
         doc = _load_json(args.patches)
-        if not isinstance(doc, dict) or "n" not in doc or "patches" not in doc:
-            raise ValueError(f"{args.patches}: expected fields 'n' and 'patches'")
+        if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("patches"), list):
+            raise ValueError(f"{args.patches}: expected fields 'n' and 'patches' (a list)")
         n = doc["n"]
         if type(n) is not int or not 1 <= n <= MAX_SIZE:
             raise ValueError(f"{args.patches}: n must be an integer in 1..{MAX_SIZE}, got {n!r}")
-        patches = [
-            diagnostics.PatchData(tuple(q["support"]),
-                                  _complex_array(q["values"], f"{args.patches} patches[{k}] values", 1))
-            for k, q in enumerate(doc["patches"])
-        ]
+        patches = []
+        for k, q in enumerate(doc["patches"]):
+            where = f"{args.patches} patches[{k}]"
+            if not isinstance(q, dict) or not isinstance(q.get("support"), list) or "values" not in q:
+                raise ValueError(f"{where}: expected an object with a 'support' list and 'values', got {q!r}")
+            patches.append(diagnostics.PatchData(tuple(q["support"]),
+                                                 _complex_array(q["values"], f"{where} values", 1)))
         _emit(_vector_doc(diagnostics.phase_propagation_stitch(patches, n), range(n)))
         return EXIT_OK
     if kind == "pauli":

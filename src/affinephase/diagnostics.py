@@ -25,9 +25,9 @@ from math import perm
 import numpy as np
 
 from . import recovery
-from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_RTOL,
-                     REPEAT_MATCH_RTOL, STITCH_RTOL, THREE_TRANSITIVE_STITCH_RTOL,
-                     ZERO_PATCH_RTOL, ZERO_SUM_RTOL, InconsistentDataError, require_finite)
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_ONE_RTOL,
+                     RANK_RTOL, REPEAT_MATCH_RTOL, STITCH_RTOL, ZERO_PATCH_RTOL, ZERO_SUM_RTOL,
+                     InconsistentDataError, require_finite)
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator, phase_distance
 
@@ -347,7 +347,7 @@ def zero_sum_projection(f, support) -> np.ndarray:
     return vals - vals.mean()
 
 
-def phase_propagation_stitch(patches, n: int, tol: float = STITCH_RTOL) -> np.ndarray:
+def phase_propagation_stitch(patches, n: int) -> np.ndarray:
     """Assemble a zero-sum vector (up to one global unit scalar) from 3-point
     patches each known up to its own unit scalar.
 
@@ -366,7 +366,7 @@ def phase_propagation_stitch(patches, n: int, tol: float = STITCH_RTOL) -> np.nd
     scale = max(norms, default=0.0)
     if scale == 0.0:
         return np.zeros(n, dtype=complex)
-    thresh = tol * scale
+    thresh = STITCH_RTOL * scale
 
     def diffs(q: PatchData) -> dict[tuple[int, int], complex]:
         out = {}
@@ -443,9 +443,12 @@ def phase_propagation_stitch(patches, n: int, tol: float = STITCH_RTOL) -> np.nd
 
 def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarray:
     """Recover a zero-sum vector f (up to global phase) from the magnitudes
-    |<f, Pi(h) psi>|, h in a 3-fold transitive permutation list, where psi is
+    |<f, Pi(h) psi>|, h in a list of permutations of n >= 3 points, where psi is
     the trivial extension of a 3-point generator psi0 supported on {0,1,2}.
 
+    A measurement reads h only on {0,1,2}, so what the list needs, and what one
+    bincount over its N base-triple codes checks in O(N + n^3) memory, is weaker than
+    3-fold transitivity: every ordered triple of distinct points is some (h(0), h(1), h(2)).
     psi0 must be zero-sum so that each measurement depends only on the local
     zero-sum projection of f; the default is the p=3 time-side generator.
     On a support A = h({0,1,2}), h acts through the local permutation
@@ -456,12 +459,17 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     :func:`recovery.recover_vector` call on the Fourier side of psi0, which
     also checks psi0 for admissibility and each patch for rank one.  A patch whose
     magnitudes are all at most errors.ZERO_PATCH_RTOL times the largest is taken as
-    zero.  The patches are stitched by phase propagation.
+    zero.  For zero-sum f, sum_j (f(i) - f(j)) conj(f(k) - f(j)) = n f(i) conj(f(k)) + ||f||^2;
+    a patch's values v give its terms as the phase-free block 3 v v^H + ||v||^2, and the sum G
+    of the blocks, diagonal divided by n - 2, is n f f^H + ||f||^2 with trace 2n ||f||^2.  f is
+    read off as in recover_vector; InconsistentDataError if its forward residual > RANK_ONE_RTOL.
     """
     perms = perms if isinstance(perms, np.ndarray) else list(perms)
     if len(perms) == 0:
         raise ValueError("empty permutation list")
     n = len(perms[0])
+    if n < 3:
+        raise ValueError(f"3-transitive retrieval needs permutations of at least 3 points, got {n}")
     y = np.asarray(measurements, dtype=float)
     require_finite("measurements", y)
     if y.shape != (len(perms),):
@@ -469,8 +477,10 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     if (y < 0).any():
         raise ValueError(f"magnitude {int(np.argmax(y < 0))} is negative; need nonnegative ones")
     H = _permutation_rows(perms, n)
-    if not is_k_transitive(H, 3, n):
-        raise ValueError("permutation list is not 3-fold transitive")
+    if len(H) < perm(n, 3) or np.count_nonzero(np.bincount(H[:, :3] @ (n * n, n, 1))) < perm(n, 3):
+        covered = set(map(tuple, H[:, :3].tolist()))
+        missing = next(t for t in permutations(range(n), 3) if t not in covered)
+        raise ValueError(f"permutation list is not 3-fold transitive: no h maps (0, 1, 2) to {missing}")
     if psi0 is None:
         psi0 = canonical_time_generator(3)
     psi0 = require_finite("psi0", psi0)
@@ -484,26 +494,35 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     # affine map sigma(m) = k + l*m, sigma(i) = pos[:, i], in l-outer-k-inner order
     pos = np.sum(H[:, None, :3] < H[:, :3, None], axis=2)
     index = ((pos[:, 1] - pos[:, 0]) % 3 - 1) * 3 + pos[:, 0]
-    supports, patch = np.unique(np.sort(H[:, :3], axis=1), axis=0, return_inverse=True)
-    supports = [tuple(a) for a in supports.tolist()]
+    S, patch = np.unique(np.sort(H[:, :3], axis=1), axis=0, return_inverse=True)
+    supports = [tuple(a) for a in S.tolist()]
     cell = patch * 6 + index
-    y = y[np.argsort(cell, kind="stable")]
-    start = np.flatnonzero(np.diff(np.sort(cell), prepend=-1))  # 3-transitivity fills every cell
-    hi = np.maximum.reduceat(y, start)
-    spread = hi - np.minimum.reduceat(y, start)
+    ys = y[np.argsort(cell, kind="stable")]
+    start = np.flatnonzero(np.diff(np.sort(cell), prepend=-1))  # the coverage fills every cell
+    hi = np.maximum.reduceat(ys, start)
+    spread = hi - np.minimum.reduceat(ys, start)
     bad = np.flatnonzero(spread > REPEAT_MATCH_RTOL * np.maximum(hi, 1.0)) // 6
     if bad.size:
         raise InconsistentDataError(f"repeated measurements disagree on patch {supports[bad[0]]}")
-    mag = (np.add.reduceat(y, start) / np.diff(start, append=len(y))).reshape(-1, 6)
+    mag = (np.add.reduceat(ys, start) / np.diff(start, append=len(ys))).reshape(-1, 6)
     mag[mag.max(axis=1) <= ZERO_PATCH_RTOL * mag.max()] = 0.0  # rounding noise, not signal
     try:
         fhat = recovery.recover_vector(mag**2, phi, 3)
     except InconsistentDataError as exc:
         raise InconsistentDataError(f"patch {supports[exc.record[0]]}: {exc}") from exc
-    values = np.fft.ifft(np.concatenate([np.zeros((len(fhat), 1)), fhat], axis=1), norm="ortho")
-    patches = [PatchData(a, v) for a, v in zip(supports, values)]
-    g = phase_propagation_stitch(patches, n, tol=THREE_TRANSITIVE_STITCH_RTOL)
-    return canonical_phase(g)
+    v = np.fft.ifft(np.concatenate([np.zeros((len(fhat), 1)), fhat], axis=1), norm="ortho")
+    G = np.zeros((n, n), dtype=complex)
+    blocks = 3 * v[:, :, None] * v[:, None, :].conj() + (np.abs(v) ** 2).sum(axis=1)[:, None, None]
+    np.add.at(G, (S[:, :, None], S[:, None, :]), blocks)
+    G[np.diag_indices(n)] /= n - 2
+    A = (G - np.trace(G).real / (2 * n)) / n  # f f^H
+    j = int(A.diagonal().real.argmax())
+    g = canonical_phase(A[:, j] / np.sqrt(A[j, j].real if A[j, j].real > 0 else np.inf))
+    e, y2 = (np.linalg.norm(x) for x in (np.abs(g[H[:, :3]] @ psi0.conj()) ** 2 - y**2, y**2))
+    if e > RANK_ONE_RTOL * y2:
+        raise InconsistentDataError("measurements inconsistent: recovered vector leaves relative "
+                                    f"forward residual {e / y2:.3e} > RANK_ONE_RTOL = {RANK_ONE_RTOL:.0e}")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,16 @@ import numpy as np
 #: do not count towards a rank; |c_phi|, |A_phi| <= RANK_RTOL * ||phi||^2 vanish.
 RANK_RTOL = 1e-10
 
-#: Phase retrieval rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||.
+#: Phase retrieval rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||;
+#: the 3-transitive pipeline rejects magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||.
 RANK_ONE_RTOL = 1e-6
 #: A 3-point patch whose magnitudes are all <= this * the largest of all patches is zero.
 ZERO_PATCH_RTOL = 1e-8
 
-#: Phase propagation: two aligned patch differences farther apart than this * the largest
-#: patch norm disagree, and a patch of smaller norm is zero.  The default ``tol`` of
-#: ``diagnostics.phase_propagation_stitch``, which the CLI uses.
+#: Phase propagation (``diagnostics.phase_propagation_stitch``): two aligned patch
+#: differences farther apart than this * the largest patch norm disagree, and a patch of
+#: smaller norm is zero.
 STITCH_RTOL = 1e-8
-#: The stitch tolerance inside the 3-transitive pipeline, whose patches come from a
-#: stacked recovery.
-THREE_TRANSITIVE_STITCH_RTOL = 1e-7
 #: Conjugate phase retrieval: the moduli matrix must be symmetric with zero diagonal to
 #: within this * max(largest modulus, 1), and the second-largest coordinate counts as in
 #: the lower half-plane below -this * largest modulus.

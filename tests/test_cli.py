@@ -578,6 +578,25 @@ def test_exit_code_2_on_an_integer_beyond_double_range(capsys, tmp_path, name, i
     assert f"{paths[name]} {where}: expected a number or [re, im] pair, got [1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, index, command",
+    [("phi", (1,), "check-generator"), ("A", (0, 1), "forward"), ("F", (3,), "recover-matrix")],
+    ids=["vector", "matrix", "measurements"],
+)
+def test_exit_code_2_on_a_float_beyond_double_range(capsys, tmp_path, name, index, command):
+    # json.load reads 1e400 as inf, which the reader names as a file entry
+    paths, docs = write_affine_inputs(tmp_path, 5)
+    write_with(paths, docs, name, index, ["BIG", 0])
+    paths[name].write_text(paths[name].read_text().replace('"BIG"', "1e400"))
+    if command == "check-generator":
+        code = main([command, "--p", "5", "--phi", str(paths["phi"])])
+    else:
+        code = run_affine(paths, command)
+    assert code == 2
+    where = "values" + "".join(f"[{i}]" for i in index)
+    assert f"{paths[name]} {where}: expected a number or [re, im] pair, got [inf, 0]" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_numbers_mixed_with_pairs(capsys, tmp_path):
     phi_path = tmp_path / "phi.json"
     phi_path.write_text(json.dumps({"labels": [1, 2, 3, 4], "values": [0, [1, 0], 1, 1]}))
@@ -618,3 +637,12 @@ def test_forward_output_is_bit_equal_to_the_library(capsys, tmp_path, form):
     assert code == 0
     expected = recovery.forward_measure(A, phi, p)
     assert np.array(doc["values"], dtype=float).tobytes() == expected.view(float).tobytes()
+
+
+@pytest.mark.parametrize("patch", [{"values": [1, -2, 1]}, 5], ids=["no-support", "not-an-object"])
+def test_exit_code_2_names_a_malformed_stitch_patch(capsys, tmp_path, patch):
+    path = tmp_path / "patches.json"
+    path.write_text(json.dumps({"n": 3, "patches": [{"support": [0, 1, 2], "values": [1, -2, 1]}, patch]}))
+    assert main(["diagnostics", "stitch", "--patches", str(path)]) == 2
+    assert (f"{path} patches[1]: expected an object with a 'support' list and 'values', got {patch!r}"
+            in capsys.readouterr().err)

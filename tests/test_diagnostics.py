@@ -1,5 +1,5 @@
 import re
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -258,29 +258,22 @@ def measurements_for(f, perms, psi0):
     return np.array(out)
 
 
-def pgl2_f5():
-    """PGL(2,5) acting on the projective line {0..4, inf}, inf labelled 5;
-    the action is sharply 3-transitive."""
-    inv = {1: 1, 2: 3, 3: 2, 4: 4}
-
-    def mobius(a, b, c, d, z):
-        if z == 5:
-            return 5 if c == 0 else a * inv[c] % 5
-        den = (c * z + d) % 5
-        return 5 if den == 0 else (a * z + b) * inv[den] % 5
-
-    return sorted(
-        {
-            tuple(mobius(a, b, c, d, z) for z in range(6))
-            for a, b, c, d in product(range(5), repeat=4)
-            if (a * d - b * c) % 5
-        }
-    )
+def pgl2(p):
+    """PGL(2,p) acting on the projective line {0..p-1, inf}, inf labelled p, as an
+    ((p+1)p(p-1), p+1) array of rows; the action is sharply 3-transitive.  Each Mobius
+    map z -> (az + b)/(cz + d) is taken once, with (c, d) = (0, 1) or (1, d)."""
+    a, b, c, d = (x.ravel() for x in np.meshgrid(range(p), range(p), (0, 1), range(p), indexing="ij"))
+    keep = ((a * d - b * c) % p != 0) & ((c == 1) | (d == 1))
+    a, b, c, d = (x[keep, None] for x in (a, b, c, d))
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    den = (c * np.arange(p) + d) % p
+    finite = np.where(den == 0, p, (a * np.arange(p) + b) * inv[den] % p)
+    return np.concatenate([finite, np.where(c == 0, p, a)], axis=1)
 
 
 def test_three_transitive_retrieval_s4():
     psi0 = canonical_time_generator(3)
-    pgl = pgl2_f5()
+    pgl = pgl2(5)
     assert len(pgl) == 120 and is_k_transitive(pgl, 3, 6)
     for perms in (list(permutations(range(4))), pgl):
         f = rand_zero_sum(len(perms[0]))
@@ -361,6 +354,65 @@ def test_three_transitive_requires_transitivity():
     cyc = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
     with pytest.raises(ValueError, match="transitive"):
         three_transitive_phase_retrieval(np.zeros(4), cyc)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 31])
+def test_three_transitive_retrieval_on_pgl2(p):
+    rows = pgl2(p)
+    n = p + 1
+    assert rows.shape == ((p + 1) * p * (p - 1), n) and (np.sort(rows, axis=1) == np.arange(n)).all()
+    assert len(np.unique(rows[:, :3] @ (n * n, n, 1))) == len(rows)  # sharply 3-transitive
+    f = rand_zero_sum(n)
+    g = three_transitive_phase_retrieval(measurements_for(f, rows, canonical_time_generator(3)), rows)
+    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+    assert abs(g.sum()) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_three_transitive_accepts_a_covering_list_that_is_not_3_transitive():
+    # one row per ordered base triple, completed by the two other points in ascending order
+    rows = [t + tuple(sorted(set(range(5)) - set(t))) for t in permutations(range(5), 3)]
+    assert len(rows) == 60 and not is_k_transitive(rows, 3, 5)
+    f = rand_zero_sum(5)
+    g = three_transitive_phase_retrieval(measurements_for(f, rows, canonical_time_generator(3)), rows)
+    assert phase_distance(g, f) < 1e-12 * np.linalg.norm(f)
+
+
+def test_three_transitive_names_a_missing_base_triple():
+    # as many rows as ordered triples, but (0, 1, 2, 3) twice and no (2, 0, 3, 1)
+    rows = [(0, 1, 2, 3) if h[:3] == (2, 0, 3) else h for h in permutations(range(4))]
+    with pytest.raises(ValueError, match=re.escape("3-fold transitive") + r".*\(2, 0, 3\)"):
+        three_transitive_phase_retrieval(np.zeros(len(rows)), rows)
+
+
+def test_three_transitive_rejects_patches_that_disagree_in_scale():
+    # every patch stays rank one, but the support (0, 1, 2) is 1.5 times too large
+    S5 = list(permutations(range(5)))
+    meas = measurements_for(rand_zero_sum(5), S5, canonical_time_generator(3))
+    meas[[sorted(h[:3]) == [0, 1, 2] for h in S5]] *= 1.5
+    with pytest.raises(InconsistentDataError, match="forward residual .* > RANK_ONE_RTOL"):
+        three_transitive_phase_retrieval(meas, S5)
+
+
+def test_three_transitive_uses_neither_transitivity_nor_stitch(monkeypatch):
+    from affinephase import diagnostics
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not on the 3-transitive path")
+
+    for name in ("is_k_transitive", "phase_propagation_stitch"):
+        monkeypatch.setattr(diagnostics, name, forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    S5 = list(permutations(range(5)))
+    f = rand_zero_sum(5)
+    g = three_transitive_phase_retrieval(measurements_for(f, S5, canonical_time_generator(3)), S5)
+    assert phase_distance(g, f) < 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_three_transitive_needs_three_points(n):
+    perms = list(permutations(range(n)))
+    with pytest.raises(ValueError, match="at least 3 points"):
+        three_transitive_phase_retrieval(np.zeros(len(perms)), perms)
 
 
 def test_three_transitive_requires_zero_sum_generator():
