@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from . import diagnostics, heisenberg, recovery
+from . import diagnostics, group_fourier, heisenberg, recovery
 from .affine import ENUMERATION_ORDER_TAG
 from .errors import MAX_SIZE, InconsistentDataError
 from .primefield import validate_prime
@@ -261,7 +261,8 @@ def _cmd_recover_vector(args) -> int:
     phi = _read_vector(args.phi, range(1, p))
     F = _read_measurements(args.measurements, p, real=True)
     f = recovery.recover_vector(F.astype(complex), phi, p)
-    return _emit_with_residual(_vector_doc(f, range(1, p)), recovery._modulus_measure(f, phi, p), F)
+    fitted = np.abs(group_fourier._frame_coefficients(f, phi, p)) ** 2
+    return _emit_with_residual(_vector_doc(f, range(1, p)), fitted, F)
 
 
 def _cmd_heisenberg(args) -> int:
@@ -305,22 +306,26 @@ def _read_vector_list(path: str) -> np.ndarray:
     return _complex_array(doc, f"{path} vectors", 2)
 
 
+#: each diagnostics kind and the options it cannot run without
+_DIAGNOSTICS_NEEDS = {"complement": ("vectors",), "full-spark": ("vectors",),
+                      "conj-pr": ("moduli",), "stitch": ("patches",),
+                      "pauli": ("p", "f", "g"), "projection-pr": ("p", "moduli")}
+
+
 def _cmd_diagnostics(args) -> int:
     kind = args.kind
+    for name in _DIAGNOSTICS_NEEDS[kind]:
+        if getattr(args, name) is None:
+            raise ValueError(f"diagnostics {kind} requires --{name}")
     if kind == "complement":
-        V = _read_vector_list(args.vectors)
-        holds, witness = diagnostics.complement_property(V)
-        _emit({"holds": holds, "witness": list(witness) if witness else None})
-        return EXIT_OK
-    if kind == "full-spark":
-        V = _read_vector_list(args.vectors)
-        _emit({"full_spark": diagnostics.full_spark(V)})
-        return EXIT_OK
-    if kind == "conj-pr":
+        holds, witness = diagnostics.complement_property(_read_vector_list(args.vectors))
+        out = {"holds": holds, "witness": list(witness) if witness else None}
+    elif kind == "full-spark":
+        out = {"full_spark": diagnostics.full_spark(_read_vector_list(args.vectors))}
+    elif kind == "conj-pr":
         f = diagnostics.conjugate_phase_reconstruct(_read_matrix(args.moduli, real=True))
-        _emit(_vector_doc(f, range(len(f))))
-        return EXIT_OK
-    if kind == "stitch":
+        out = _vector_doc(f, range(len(f)))
+    elif kind == "stitch":
         doc = _load_json(args.patches)
         if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("patches"), list):
             raise ValueError(f"{args.patches}: expected fields 'n' and 'patches' (a list)")
@@ -334,26 +339,18 @@ def _cmd_diagnostics(args) -> int:
                 raise ValueError(f"{where}: expected an object with a 'support' list and 'values', got {q!r}")
             patches.append(diagnostics.PatchData(tuple(q["support"]),
                                                  _complex_array(q["values"], f"{where} values", 1)))
-        _emit(_vector_doc(diagnostics.phase_propagation_stitch(patches, n), range(n)))
-        return EXIT_OK
-    if kind == "pauli":
+        out = _vector_doc(diagnostics.phase_propagation_stitch(patches, n), range(n))
+    elif kind == "pauli":
         p = validate_prime(args.p)
-        f = _read_vector(args.f, range(p))
-        g = _read_vector(args.g, range(p))
-        psi = (
-            _read_vector(args.psi, range(p))
-            if args.psi
-            else recovery.canonical_time_generator(p)
-        )
-        _emit(dataclasses.asdict(diagnostics.pauli_pair_family(f, g, psi)))
-        return EXIT_OK
-    if kind == "projection-pr":
+        f, g = _read_vector(args.f, range(p)), _read_vector(args.g, range(p))
+        psi = _read_vector(args.psi, range(p)) if args.psi else recovery.canonical_time_generator(p)
+        out = dataclasses.asdict(diagnostics.pauli_pair_family(f, g, psi))
+    else:  # projection-pr
         p = validate_prime(args.p)
         D = _read_matrix(args.moduli, (p - 1, p), real=True)
-        f = diagnostics.recover_from_projection_moduli(D, p)
-        _emit(_vector_doc(f, range(p)))
-        return EXIT_OK
-    raise ValueError(f"unknown diagnostics kind {kind!r}")
+        out = _vector_doc(diagnostics.recover_from_projection_moduli(D, p), range(p))
+    _emit(out)
+    return EXIT_OK
 
 
 def _cmd_demo_counterexample(_args) -> int:
@@ -437,10 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_heisenberg)
 
     s = sub.add_parser("diagnostics", help="frame diagnostics and reconstructions")
-    s.add_argument(
-        "kind",
-        choices=["complement", "full-spark", "conj-pr", "stitch", "pauli", "projection-pr"],
-    )
+    s.add_argument("kind", choices=list(_DIAGNOSTICS_NEEDS))
     s.add_argument("--vectors")
     s.add_argument("--moduli")
     s.add_argument("--patches")

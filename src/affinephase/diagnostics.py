@@ -18,18 +18,19 @@ Permutations are given in one-line notation: a permutation h of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import perm
+from math import hypot, perm
 
 import numpy as np
 
 from . import recovery
-from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_ONE_RTOL,
-                     RANK_RTOL, REPEAT_MATCH_RTOL, STITCH_RTOL, ZERO_PATCH_RTOL, ZERO_SUM_RTOL,
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_RTOL,
+                     REPEAT_MATCH_RTOL, STITCH_RTOL, ZERO_PATCH_RTOL, ZERO_SUM_RTOL,
                      InconsistentDataError, require_finite)
+from .group_fourier import _frame_coefficients
 from .primefield import inverse_table, validate_prime
-from .recovery import canonical_phase, canonical_time_generator, phase_distance
+from .recovery import canonical_phase, canonical_time_generator
 
 #: hard cap on exhaustive subset scans
 MAX_COMPLEMENT_VECTORS = 22
@@ -158,15 +159,17 @@ def is_k_transitive(perms, k: int, n: int) -> bool:
     """k-fold transitivity of a list of permutations of {0..n-1} in one-line
     notation (repeats allowed, no group assumed).  The images h(u) of the
     M = n!/(n-k)! ordered k-tuples u, coded as base-n integers, form an (N, M)
-    array (via a k*N*M gather); the list is k-transitive iff after one sort
-    along the permutation axis every column holds M distinct codes."""
+    array; the list is k-transitive iff after one sort along the permutation axis
+    every column holds M distinct codes.  The columns are coded, sorted and checked
+    in blocks, each from a k*N*b gather of at most 2^22 integers (32 MB)."""
     H = _permutation_rows(perms, n)
     M = perm(n, k)
     if len(H) < M:
         return False
     u = np.array(list(permutations(range(n), k)), dtype=np.int64).reshape(M, k)
-    codes = H[:, u] @ n ** np.arange(k - 1, -1, -1)
-    return bool(np.all(np.count_nonzero(np.diff(np.sort(codes, axis=0), axis=0), axis=0) == M - 1))
+    b = 2**22 // (k * len(H) + 1) + 1  # tuples per block
+    codes = (np.sort((H[:, u[i:i + b]] @ n ** np.arange(k - 1, -1, -1)).T) for i in range(0, M, b))
+    return all(np.all(np.count_nonzero(np.diff(c), axis=1) == M - 1) for c in codes)
 
 
 def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...], complex]:
@@ -349,93 +352,62 @@ def zero_sum_projection(f, support) -> np.ndarray:
 
 def phase_propagation_stitch(patches, n: int) -> np.ndarray:
     """Assemble a zero-sum vector (up to one global unit scalar) from 3-point
-    patches each known up to its own unit scalar.
+    patches each known up to its own unit scalar, by placing values.
 
-    Each patch determines the pairwise differences f(j) - f(k) on its support
-    up to the patch phase.  Phases are propagated from a reference patch
-    through shared pairs with nonzero difference values; aligned differences
-    are then solved for f by least squares together with the zero-sum
-    constraint.  Conflicting patch data raise InconsistentDataError naming
-    the offending pair of patches.
-    """
+    The largest patch is placed as given.  A patch v whose overlap
+    sum (f(i) - f(j)) conj(v(i) - v(j)) over its placed pairs is nonzero, or whose
+    points are all placed, is rotated by the overlap's phase and shifted by its mean
+    offset on its placed points; its other points are then written.  A zero patch
+    (norm <= STITCH_RTOL * largest) needs one placed point.  Returns the placed vector,
+    centred.  InconsistentDataError if a patch misses a placed point by more than
+    STITCH_RTOL * largest; ValueError ("disconnected") if a point stays unplaced."""
     patches = list(patches)
-    for q in patches:
-        if not all(0 <= i < n for i in q.support):
-            raise ValueError(f"patch support {q.support} outside 0..{n - 1}")
-    norms = [float(np.linalg.norm(q.values)) for q in patches]
-    scale = max(norms, default=0.0)
-    if scale == 0.0:
-        return np.zeros(n, dtype=complex)
-    thresh = STITCH_RTOL * scale
-
-    def diffs(q: PatchData) -> dict[tuple[int, int], complex]:
-        out = {}
-        for a, b in combinations(range(3), 2):
-            i, j = q.support[a], q.support[b]
-            val = q.values[a] - q.values[b]
-            if i > j:
-                i, j, val = j, i, -val
-            out[(i, j)] = val
-        return out
-
-    patch_diffs = [diffs(q) for q in patches]
-    nonzero = [i for i in range(len(patches)) if norms[i] > thresh]
-    aligned: dict[int, complex] = {}
-    established: dict[tuple[int, int], tuple[complex, int]] = {}
-
-    def absorb(idx: int, alpha: complex) -> None:
-        aligned[idx] = alpha
-        for pair, val in patch_diffs[idx].items():
-            v = alpha * val
-            if pair in established:
-                prev, src = established[pair]
-                if abs(prev - v) > thresh:
-                    raise InconsistentDataError(
-                        f"patches {src} and {idx} disagree on pair {pair} "
-                        f"(|delta| = {abs(prev - v):.3e})"
-                    )
-            else:
-                established[pair] = (v, idx)
-
-    # zero patches carry only zero differences; no phase needed
-    for i in range(len(patches)):
-        if norms[i] <= thresh:
-            absorb(i, 1.0)
-
-    if nonzero:
-        ref = max(nonzero, key=lambda i: norms[i])
-        absorb(ref, 1.0)
-        pending = [i for i in nonzero if i not in aligned]
-        progress = True
-        while pending and progress:
-            progress = False
-            for idx in list(pending):
-                d = patch_diffs[idx]
-                s = 0.0 + 0.0j
-                for pair, val in d.items():
-                    if pair in established:
-                        s += established[pair][0] * np.conj(val)
-                if abs(s) > thresh**2:  # product of two difference magnitudes
-                    absorb(idx, s / abs(s))  # raises if the overlap disagrees
-                    pending.remove(idx)
-                    progress = True
-        if pending:
-            raise ValueError(
-                "patch family is disconnected: cannot phase-align patches "
-                f"{sorted(pending)} with the reference component"
-            )
-
-    # least squares: f(i) - f(j) = d_ij for all established pairs, sum f = 0
-    pairs = sorted(established)
-    rows = np.zeros((len(pairs) + 1, n), dtype=complex)
-    rhs = np.zeros(len(pairs) + 1, dtype=complex)
-    for r, (i, j) in enumerate(pairs):
-        rows[r, i] = 1.0
-        rows[r, j] = -1.0
-        rhs[r] = established[(i, j)][0]
-    rows[-1, :] = 1.0
-    g, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    return g
+    supports = [tuple(map(int, q.support)) for q in patches]
+    for s in supports:
+        if not all(0 <= i < n for i in s):
+            raise ValueError(f"patch support {s} outside 0..{n - 1}")
+    values = [q.values.tolist() for q in patches]
+    norms = [hypot(*map(abs, v)) for v in values]
+    thresh = STITCH_RTOL * max(norms, default=0.0)
+    g: dict[int, complex] = {}
+    left = list(range(len(patches)))
+    if left:
+        top = left.pop(int(np.argmax(norms)))
+        g.update(zip(supports[top], values[top]))
+    while left:
+        waiting = []
+        for k in left:
+            s, v = supports[k], values[k]
+            on = [a for a in range(3) if s[a] in g]
+            u, ready = 1.0, bool(on)  # a zero patch needs one placed point
+            if norms[k] > thresh:
+                pairs = combinations(on, 2)
+                overlap = sum((g[s[a]] - g[s[b]]) * (v[a] - v[b]).conjugate() for a, b in pairs)
+                u = overlap / abs(overlap) if overlap else 1.0
+                ready = len(on) == 3 or abs(overlap) > thresh**2
+            if not ready:
+                waiting.append(k)
+                continue
+            w = [u * x for x in v]
+            c = sum(g[s[a]] - w[a] for a in on) / len(on)
+            miss, a = max((abs(g[s[a]] - w[a] - c), a) for a in on)
+            if miss > thresh:
+                raise InconsistentDataError(
+                    f"patch {k} on {s} misses placed point {s[a]} by {miss:.3e} "
+                    f"> STITCH_RTOL * largest patch norm = {thresh:.3e}"
+                )
+            for a in range(3):
+                g.setdefault(s[a], w[a] + c)
+        if len(waiting) == len(left):
+            break
+        left = waiting
+    if len(g) < n:
+        raise ValueError(
+            f"patch family is disconnected: points {sorted(set(range(n)) - g.keys())} cannot "
+            "be placed from the largest patch" + (f", patches {left} not aligned" if left else "")
+        )
+    f = np.array([g[i] for i in range(n)], dtype=complex)
+    return f - f.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +490,7 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     A = (G - np.trace(G).real / (2 * n)) / n  # f f^H
     j = int(A.diagonal().real.argmax())
     g = canonical_phase(A[:, j] / np.sqrt(A[j, j].real if A[j, j].real > 0 else np.inf))
-    e, y2 = (np.linalg.norm(x) for x in (np.abs(g[H[:, :3]] @ psi0.conj()) ** 2 - y**2, y**2))
-    if e > RANK_ONE_RTOL * y2:
-        raise InconsistentDataError("measurements inconsistent: recovered vector leaves relative "
-                                    f"forward residual {e / y2:.3e} > RANK_ONE_RTOL = {RANK_ONE_RTOL:.0e}")
+    recovery._check_forward_residual(np.abs(g[H[:, :3]] @ psi0.conj()) ** 2, y**2)
     return g
 
 
@@ -541,12 +510,11 @@ class PauliPairReport:
 
 def _affine_coefficients(f, psi, p: int) -> np.ndarray:
     """V_psi f as a (p-1) x p array, row l-1, column k: the entry
-    sum_m f(m) conj(psi_l(m - k)), psi_l(x) = psi(l^-1 x), is a cyclic
-    correlation in k, taken with one FFT per l."""
-    f = np.asarray(f, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    psi_l = psi[np.outer(inverse_table(p)[1:], np.arange(p)) % p]
-    return np.fft.ifft(np.fft.fft(f) * np.fft.fft(psi_l, axis=1).conj(), axis=1)
+    sum_m f(m) conj(psi_l(m - k)), psi_l(x) = psi(l^-1 x).  The unitary DFT takes
+    psi_l(. - k) to xi -> e^{-2 pi i k xi/p} psi^(l xi), so by Parseval the entry is
+    f^(0) conj(psi^(0)) + <f^ on {1..p-1}, pi_hat0(k,l) psi^ on {1..p-1}>."""
+    fh, psih = (np.fft.fft(x, norm="ortho") for x in (f, psi))
+    return _frame_coefficients(fh[1:], psih[1:], p).reshape(p - 1, p) + fh[0] * psih[0].conj()
 
 
 def pauli_pair_family(f, g, psi) -> PauliPairReport:
@@ -558,8 +526,7 @@ def pauli_pair_family(f, g, psi) -> PauliPairReport:
     validate_prime(p)
     if f.shape != (p,) or g.shape != (p,):
         raise ValueError("f, g and psi must all live on Z_p")
-    Vf = _affine_coefficients(f, psi, p)
-    Vg = _affine_coefficients(g, psi, p)
+    Vf, Vg = (_affine_coefficients(x, psi, p) for x in (f, g))
     scale = max(float(np.max(np.abs(Vf))), float(np.max(np.abs(Vg))), 1e-300)
     t_dev = np.max(np.abs(np.abs(Vf) - np.abs(Vg)), axis=1)
     Gf, Gg = (np.abs(np.fft.fft(V, axis=1, norm="ortho")) for V in (Vf, Vg))

@@ -17,9 +17,9 @@ RANK_ONE_RTOL = 1e-6
 #: A 3-point patch whose magnitudes are all <= this * the largest of all patches is zero.
 ZERO_PATCH_RTOL = 1e-8
 
-#: Phase propagation (``diagnostics.phase_propagation_stitch``): two aligned patch
-#: differences farther apart than this * the largest patch norm disagree, and a patch of
-#: smaller norm is zero.
+#: Phase propagation (``diagnostics.phase_propagation_stitch``): with t = this * the largest
+#: patch norm, an aligned patch that misses a placed point by more than t disagrees, a patch of
+#: norm <= t is zero, and an overlap of at most t^2 on placed pairs gives no phase.
 STITCH_RTOL = 1e-8
 #: Conjugate phase retrieval: the moduli matrix must be symmetric with zero diagonal to
 #: within this * max(largest modulus, 1), and the second-largest coordinate counts as in

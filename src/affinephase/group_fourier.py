@@ -51,6 +51,15 @@ def _synthesis(per_l: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     return np.fft.ifft(G, axis=1).reshape(-1)
 
 
+def _frame_coefficients(f: np.ndarray, phi: np.ndarray, p: int) -> np.ndarray:
+    """<f, pi_hat0(k,l) phi> at index (l-1)p + k for each f on the last axis and a
+    validated phi on {1..p-1}: for each l, all k come from one inverse FFT of
+    f * conj(phi(l.)), in O(p^2 log p)."""
+    g = np.zeros(f.shape[:-1] + (p - 1, p), dtype=complex)
+    g[..., 1:] = f[..., None, :] * phi[index_tables(p).dilation].conj()  # row l-1
+    return np.fft.ifft(g, axis=-1, norm="forward").reshape(f.shape[:-1] + (-1,))
+
+
 def _check_group_function(F, p: int) -> tuple[np.ndarray, int]:
     p = validate_prime(p)
     F = np.asarray(F, dtype=complex)

@@ -31,7 +31,7 @@ import numpy as np
 from .affine import index_tables, s_apply, s_inverse_apply
 from .errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
-from .group_fourier import _analysis, _synthesis
+from .group_fourier import _analysis, _frame_coefficients, _synthesis
 from .primefield import root_powers, validate_prime
 
 
@@ -220,14 +220,6 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     return s_inverse_apply(np.concatenate([a1[..., None], X @ W], axis=-1))
 
 
-def _modulus_measure(f: np.ndarray, phi: np.ndarray, p: int) -> np.ndarray:
-    """|<f, pi_hat0(k,l) phi>|^2 for each f on the last axis, for a validated phi: for
-    each l, all k come from one inverse FFT of f * conj(phi(l.)), in O(p^2 log p)."""
-    g = np.zeros(f.shape[:-1] + (p - 1, p), dtype=complex)
-    g[..., 1:] = f[..., None, :] * phi[index_tables(p).dilation].conj()  # row l-1
-    return np.abs(np.fft.ifft(g, axis=-1, norm="forward").reshape(f.shape[:-1] + (-1,))) ** 2
-
-
 def canonical_phase(v) -> np.ndarray:
     """Rotate v so its largest-modulus entry is positive real (deterministic
     representative of the equivalence class v * unit scalar) along the last axis."""
@@ -275,8 +267,15 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
     # f = A(:, j) / sqrt(A(j, j)); an all-zero diagonal divides by inf and gives f = 0
     d = np.sqrt(np.where(a1.real[n, top] > 0, a1.real[n, top], np.inf))[:, None]
     f = canonical_phase(col / d).reshape(F.shape[:-1] + (-1,))
-    e2, F2 = ((np.abs(x) ** 2).sum(axis=-1) for x in (_modulus_measure(f, phi, p) - F, F))
-    bad = e2 > RANK_ONE_RTOL**2 * F2  # an all-zero F gives f = 0 and passes
+    _check_forward_residual(np.abs(_frame_coefficients(f, phi, p)) ** 2, F)
+    return f
+
+
+def _check_forward_residual(fitted: np.ndarray, F: np.ndarray) -> None:
+    """InconsistentDataError, naming the first failing record of a stack, if ||fitted - F||
+    along the last axis exceeds RANK_ONE_RTOL * ||F||; an all-zero F passes an all-zero fit."""
+    e2, F2 = ((np.abs(x) ** 2).sum(axis=-1) for x in (fitted - F, F))
+    bad = e2 > RANK_ONE_RTOL**2 * F2
     if bad.any():
         i = tuple(np.argwhere(bad)[0].tolist())
         raise InconsistentDataError(
@@ -284,4 +283,3 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
             f"leaves relative forward residual {np.sqrt(e2[i] / F2[i]):.3e} > RANK_ONE_RTOL = "
             f"{RANK_ONE_RTOL:.0e}",
             record=i or None)
-    return f

@@ -639,6 +639,23 @@ def test_forward_output_is_bit_equal_to_the_library(capsys, tmp_path, form):
     assert np.array(doc["values"], dtype=float).tobytes() == expected.view(float).tobytes()
 
 
+@pytest.mark.parametrize("kind, given, option", [
+    ("complement", [], "vectors"), ("full-spark", [], "vectors"), ("conj-pr", [], "moduli"),
+    ("stitch", [], "patches"), ("pauli", [], "p"), ("pauli", ["--p", "5"], "f"),
+    ("projection-pr", [], "p"), ("projection-pr", ["--p", "5"], "moduli"),
+])
+def test_exit_code_2_names_a_missing_diagnostics_option(capsys, kind, given, option):
+    assert main(["diagnostics", kind, *given]) == 2
+    assert capsys.readouterr().err == f"error: diagnostics {kind} requires --{option}\n"
+
+
+def test_exit_code_2_on_a_stitch_point_in_no_patch(capsys, tmp_path):
+    path = tmp_path / "patches.json"
+    path.write_text(json.dumps({"n": 4, "patches": [{"support": [0, 1, 2], "values": [1, -2, 1]}]}))
+    assert main(["diagnostics", "stitch", "--patches", str(path)]) == 2
+    assert "disconnected: points [3]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("patch", [{"values": [1, -2, 1]}, 5], ids=["no-support", "not-an-object"])
 def test_exit_code_2_names_a_malformed_stitch_patch(capsys, tmp_path, patch):
     path = tmp_path / "patches.json"

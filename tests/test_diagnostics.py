@@ -1,5 +1,5 @@
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -131,6 +131,14 @@ def test_affine_group_is_doubly_transitive():
     assert not is_k_transitive(perms, 3, p)
 
 
+def test_pgl2_31_is_doubly_transitive():
+    # the columns are checked in blocks: the whole (N, M) gather would take ~0.7 GB here
+    rows = pgl2(31)
+    assert is_k_transitive(rows, 2, 32)
+    # without the 30 maps that swap 30 and 31, only the last tuples miss a target
+    assert not is_k_transitive(rows[(rows[:, 30] != 31) | (rows[:, 31] != 30)], 2, 32)
+
+
 def test_difference_coefficients():
     S3 = list(permutations(range(3)))
     f = rand_zero_sum(3)
@@ -236,6 +244,73 @@ def test_phase_propagation_stitch_disconnected():
         PatchData(support=(4, 5, 6), values=zero_sum_projection(f, (4, 5, 6))),
     ]
     with pytest.raises(ValueError, match="disconnected"):
+        phase_propagation_stitch(patches, n)
+
+
+def random_phase_patches(f, supports):
+    return [PatchData(s, np.exp(2j * np.pi * RNG.random()) * zero_sum_projection(f, s))
+            for s in supports]
+
+
+def test_phase_propagation_stitch_complete_family_without_least_squares(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the stitch places values; it solves no least-squares system")
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    n = 32
+    f = rand_zero_sum(n)
+    g = phase_propagation_stitch(random_phase_patches(f, combinations(range(n), 3)), n)
+    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_phase_propagation_stitch_random_connected_families():
+    # a chain of triples through a random order of the points, each sharing a pair with the
+    # next, makes the family connected; so does each extra triple, which holds two neighbours
+    # of that order and one random other point, and a shuffle varies the order of placement
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(3, 25))
+        order = rng.permutation(n).tolist()
+        supports = [tuple(order[i:i + 3]) for i in range(n - 2)]
+        for i in rng.integers(0, n - 1, int(rng.integers(0, 2 * n))).tolist():
+            other = rng.choice([j for j in range(n) if j not in order[i:i + 2]])
+            supports.append((order[i], order[i + 1], int(other)))
+        supports = [supports[i] for i in rng.permutation(len(supports))]
+        f = rand_zero_sum(n)
+        g = phase_propagation_stitch(random_phase_patches(f, supports), n)
+        assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f), (n, supports)
+
+
+def test_phase_propagation_stitch_places_through_a_zero_patch():
+    # f is constant on {3, 4, 5}: the zero patch there needs only its placed point 3
+    f = np.array([1.0, -2.0, 3.0j, 0.5, 0.5, 0.5]) + 0j
+    f -= f.mean()
+    supports = [(3, 4, 5), (0, 1, 2), (1, 2, 3)]
+    g = phase_propagation_stitch(random_phase_patches(f, supports), 6)
+    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_phase_propagation_stitch_names_the_missed_point():
+    # (0, 1, 2) is the largest patch and (1, 2, 3) places point 3, so the last patch has all
+    # three points placed before it is read, and disagrees there
+    f = np.array([5.0, -5.0, 1.0, 0.0]) + 0j
+    patches = random_phase_patches(f, [(0, 1, 2), (1, 2, 3)])
+    patches.append(PatchData((0, 1, 3), zero_sum_projection(f, (0, 1, 3)) + [1e-3, 0, -1e-3]))
+    with pytest.raises(InconsistentDataError, match=r"patch 2 on \(0, 1, 3\) misses placed point "
+                       r".* > STITCH_RTOL \* largest patch norm"):
+        phase_propagation_stitch(patches, 4)
+
+
+@pytest.mark.parametrize("n, supports, zero", [
+    (7, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], ()),  # point 6 is in no patch
+    (6, [(0, 1, 2), (3, 4, 5)], (1,)),  # a zero patch in its own component
+    (3, [], ()),  # no patches at all
+    (5, [(0, 1, 2)], (0,)),  # an all-zero family that leaves points 3 and 4 open
+], ids=["point-in-no-patch", "zero-patch-alone", "empty", "all-zero"])
+def test_phase_propagation_stitch_rejects_a_family_that_does_not_determine_f(n, supports, zero):
+    patches = random_phase_patches(rand_zero_sum(n), supports)
+    patches = [PatchData(q.support, 0 * q.values) if k in zero else q for k, q in enumerate(patches)]
+    with pytest.raises(ValueError, match="disconnected: points"):
         phase_propagation_stitch(patches, n)
 
 

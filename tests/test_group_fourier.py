@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from affinephase.group_fourier import AffineFourierCoefficients, fourier_invert, transform
+from affinephase.group_fourier import (AffineFourierCoefficients, _frame_coefficients, fourier_invert,
+                                      transform)
 from affinephase.reference import character_table, enumerate_group, pi_hat0_matrix, plancherel_sides
 
 RNG = np.random.default_rng(20240817)
@@ -33,6 +34,18 @@ def test_pi_hat0_transform_against_elementwise_sum():
             direct += F[i] * pi_hat0_matrix(x)
         err = np.max(np.abs(transform(F, p).matrix_part - direct))
         assert err <= 1e-12 * np.max(np.abs(direct)), (p, err)
+
+
+def test_frame_coefficients_against_pi_hat0_matrix_action():
+    # a stack of two vectors, each against every orbit vector pi_hat0(k,l) phi
+    for p in (3, 5, 13):
+        f = RNG.normal(size=(2, p - 1)) + 1j * RNG.normal(size=(2, p - 1))
+        phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+        V = _frame_coefficients(f, phi, p)
+        assert V.shape == (2, p * (p - 1))
+        for i, x in enumerate(enumerate_group(p)):
+            w = pi_hat0_matrix(x) @ phi
+            assert np.allclose(V[:, i], f @ w.conj(), rtol=0, atol=1e-12), (p, x)
 
 
 def test_inversion_round_trip():
