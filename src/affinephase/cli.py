@@ -265,35 +265,35 @@ def _cmd_recover_vector(args) -> int:
     return _emit_with_residual(_vector_doc(f, range(1, p)), fitted, F)
 
 
+#: each action of a subcommand and the options it cannot run without
+_NEEDS = {"heisenberg": {"check": (), "forward": ("matrix",), "recover": ("measurements",)},
+          "diagnostics": {"complement": ("vectors",), "full-spark": ("vectors",),
+                          "conj-pr": ("moduli",), "stitch": ("patches",),
+                          "pauli": ("p", "f", "g"), "projection-pr": ("p", "moduli")}}
+
+
+def _require(args, command: str, action: str) -> None:
+    """ValueError naming the first option that ``command action`` runs without."""
+    for name in _NEEDS[command][action]:
+        if getattr(args, name) is None:
+            raise ValueError(f"{command} {action} requires --{name}")
+
+
 def _cmd_heisenberg(args) -> int:
     n = args.n
     heisenberg._check_n(n)
+    _require(args, "heisenberg", args.action)
     phi = _read_vector(args.phi, range(n))
     if args.action == "check":
-        amb = heisenberg.ambiguity(phi)
-        ok = heisenberg.check_generator_h(phi)
-        _emit(
-            {
-                "n": n,
-                "admissible": ok,
-                "min_ambiguity_modulus": float(np.min(np.abs(amb))),
-            }
-        )
-        return EXIT_OK
-    if args.action == "forward":
-        if args.matrix is None:
-            raise ValueError("heisenberg forward requires --matrix")
+        amb = float(np.min(np.abs(heisenberg.ambiguity(phi))))
+        _emit({"n": n, "admissible": heisenberg.check_generator_h(phi), "min_ambiguity_modulus": amb})
+    elif args.action == "forward":
         A = _read_matrix(args.matrix, (n, n))
-        F = heisenberg.h_forward(A, phi)
-        _emit(_matrix_doc(F, range(n), range(n)))
-        return EXIT_OK
-    # recover
-    if args.measurements is None:
-        raise ValueError("heisenberg recover requires --measurements")
-    F = _read_matrix(args.measurements, (n, n))
-    A = heisenberg.h_recover(F, phi)
-    resid = float(np.linalg.norm(heisenberg.h_forward(A, phi) - F))
-    _emit({**_matrix_doc(A, range(n), range(n)), "residual": resid})
+        _emit(_matrix_doc(heisenberg.h_forward(A, phi), range(n), range(n)))
+    else:
+        F = _read_matrix(args.measurements, (n, n))
+        A = heisenberg.h_recover(F, phi)
+        return _emit_with_residual(_matrix_doc(A, range(n), range(n)), heisenberg.h_forward(A, phi), F)
     return EXIT_OK
 
 
@@ -306,17 +306,9 @@ def _read_vector_list(path: str) -> np.ndarray:
     return _complex_array(doc, f"{path} vectors", 2)
 
 
-#: each diagnostics kind and the options it cannot run without
-_DIAGNOSTICS_NEEDS = {"complement": ("vectors",), "full-spark": ("vectors",),
-                      "conj-pr": ("moduli",), "stitch": ("patches",),
-                      "pauli": ("p", "f", "g"), "projection-pr": ("p", "moduli")}
-
-
 def _cmd_diagnostics(args) -> int:
     kind = args.kind
-    for name in _DIAGNOSTICS_NEEDS[kind]:
-        if getattr(args, name) is None:
-            raise ValueError(f"diagnostics {kind} requires --{name}")
+    _require(args, "diagnostics", kind)
     if kind == "complement":
         holds, witness = diagnostics.complement_property(_read_vector_list(args.vectors))
         out = {"holds": holds, "witness": list(witness) if witness else None}
@@ -427,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("heisenberg", help="Heisenberg group pipelines on Z_n")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("action", choices=["check", "forward", "recover"])
+    s.add_argument("action", choices=list(_NEEDS["heisenberg"]))
     s.add_argument("--phi", required=True)
     s.add_argument("--matrix")
     s.add_argument("--measurements")
     s.set_defaults(func=_cmd_heisenberg)
 
     s = sub.add_parser("diagnostics", help="frame diagnostics and reconstructions")
-    s.add_argument("kind", choices=list(_DIAGNOSTICS_NEEDS))
+    s.add_argument("kind", choices=list(_NEEDS["diagnostics"]))
     s.add_argument("--vectors")
     s.add_argument("--moduli")
     s.add_argument("--patches")

@@ -7,8 +7,8 @@ Contents:
   * the dimension-3 counterexample verifier for the extended generator
     delta_k0 - delta_l0 + n^{-1/2} * 1;
   * phase propagation: stitching locally known 3-point patches into a
-    globally phase-consistent vector, and the full pipeline for 3-fold
-    transitive permutation actions;
+    globally phase-consistent vector, and closed-form phase retrieval for
+    3-fold transitive permutation actions;
   * Pauli-pair and frequency-deletion (Fourier projection) harnesses that
     reduce to the affine matrix-recovery pipeline.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import recovery
 from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_RTOL,
-                     REPEAT_MATCH_RTOL, STITCH_RTOL, ZERO_PATCH_RTOL, ZERO_SUM_RTOL,
+                     REPEAT_MATCH_RTOL, STITCH_RTOL, ZERO_SUM_RTOL, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
 from .group_fourier import _frame_coefficients
 from .primefield import inverse_table, validate_prime
@@ -173,16 +173,20 @@ def is_k_transitive(perms, k: int, n: int) -> bool:
 
 
 def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...], complex]:
-    """Frame coefficients of f against the orbit of delta_k0 - delta_l0 under
-    a doubly transitive permutation list: the value at h is f(h(k0)) - f(h(l0))."""
-    f = np.asarray(f, dtype=complex)
+    """Frame coefficients of f against the orbit of delta_k0 - delta_l0 under a list of
+    permutations: the value at h is f(h(k0)) - f(h(l0)).  The list must cover every ordered
+    pair of distinct points as some (h(k0), h(l0)), which one bincount checks."""
+    f = require_finite("f", f)
     n = len(f)
     if not (0 <= k0 < n and 0 <= l0 < n) or k0 == l0:
         raise ValueError("k0, l0 must be distinct indices in {0..n-1}")
-    perms = [tuple(h) for h in perms]
-    if not is_k_transitive(perms, 2, n):
-        raise ValueError("permutation list is not doubly transitive")
-    return {h: complex(f[h[k0]] - f[h[l0]]) for h in perms}
+    H = _permutation_rows(perms, n)
+    covered = np.bincount(H[:, k0] * n + H[:, l0], minlength=n * n).reshape(n, n)
+    missing = np.argwhere((covered == 0) & ~np.eye(n, dtype=bool))
+    if len(missing):
+        raise ValueError(f"permutation list is not doubly transitive: no h maps ({k0}, {l0}) "
+                         f"to {tuple(missing[0].tolist())}")
+    return dict(zip(map(tuple, H.tolist()), (f[H[:, k0]] - f[H[:, l0]]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +362,9 @@ def phase_propagation_stitch(patches, n: int) -> np.ndarray:
     sum (f(i) - f(j)) conj(v(i) - v(j)) over its placed pairs is nonzero, or whose
     points are all placed, is rotated by the overlap's phase and shifted by its mean
     offset on its placed points; its other points are then written.  A zero patch
-    (norm <= STITCH_RTOL * largest) needs one placed point.  Returns the placed vector,
-    centred.  InconsistentDataError if a patch misses a placed point by more than
+    (norm <= STITCH_RTOL * largest) needs one placed point.  Placing points queues their
+    patches (FIFO, in list order), as only that can make a patch ready.  Returns the placed
+    vector, centred.  InconsistentDataError if a patch misses a placed point by more than
     STITCH_RTOL * largest; ValueError ("disconnected") if a point stays unplaced."""
     patches = list(patches)
     supports = [tuple(map(int, q.support)) for q in patches]
@@ -369,42 +374,45 @@ def phase_propagation_stitch(patches, n: int) -> np.ndarray:
     values = [q.values.tolist() for q in patches]
     norms = [hypot(*map(abs, v)) for v in values]
     thresh = STITCH_RTOL * max(norms, default=0.0)
+    at: dict[int, list[int]] = {}  # the patches through each point, in list order
+    for k, s in enumerate(supports):
+        for i in s:
+            at.setdefault(i, []).append(k)
     g: dict[int, complex] = {}
-    left = list(range(len(patches)))
-    if left:
-        top = left.pop(int(np.argmax(norms)))
+    left = set(range(len(patches)))
+    if left:  # the largest patch is placed as given, then read like the others
+        top = int(np.argmax(norms))
         g.update(zip(supports[top], values[top]))
-    while left:
-        waiting = []
-        for k in left:
-            s, v = supports[k], values[k]
-            on = [a for a in range(3) if s[a] in g]
-            u, ready = 1.0, bool(on)  # a zero patch needs one placed point
-            if norms[k] > thresh:
-                pairs = combinations(on, 2)
-                overlap = sum((g[s[a]] - g[s[b]]) * (v[a] - v[b]).conjugate() for a, b in pairs)
-                u = overlap / abs(overlap) if overlap else 1.0
-                ready = len(on) == 3 or abs(overlap) > thresh**2
-            if not ready:
-                waiting.append(k)
-                continue
-            w = [u * x for x in v]
-            c = sum(g[s[a]] - w[a] for a in on) / len(on)
-            miss, a = max((abs(g[s[a]] - w[a] - c), a) for a in on)
-            if miss > thresh:
-                raise InconsistentDataError(
-                    f"patch {k} on {s} misses placed point {s[a]} by {miss:.3e} "
-                    f"> STITCH_RTOL * largest patch norm = {thresh:.3e}"
-                )
-            for a in range(3):
-                g.setdefault(s[a], w[a] + c)
-        if len(waiting) == len(left):
-            break
-        left = waiting
+    queue = sorted({q for i in g for q in at[i]})
+    for k in queue:  # a FIFO queue: the loop reads what placing points appends
+        if k not in left:
+            continue
+        s, v = supports[k], values[k]
+        on = [a for a in range(3) if s[a] in g]
+        u, ready = 1.0, bool(on)  # a zero patch needs one placed point
+        if norms[k] > thresh:
+            pairs = combinations(on, 2)
+            overlap = sum((g[s[a]] - g[s[b]]) * (v[a] - v[b]).conjugate() for a, b in pairs)
+            u = overlap / abs(overlap) if overlap else 1.0
+            ready = len(on) == 3 or abs(overlap) > thresh**2
+        if not ready:
+            continue
+        w = [u * x for x in v]
+        c = sum(g[s[a]] - w[a] for a in on) / len(on)
+        miss, a = max((abs(g[s[a]] - w[a] - c), a) for a in on)
+        if miss > thresh:
+            raise InconsistentDataError(
+                f"patch {k} on {s} misses placed point {s[a]} by {miss:.3e} "
+                f"> STITCH_RTOL * largest patch norm = {thresh:.3e}"
+            )
+        left.remove(k)
+        new = [a for a in range(3) if s[a] not in g]
+        g.update((s[a], w[a] + c) for a in new)
+        queue.extend(sorted({q for a in new for q in at[s[a]]}))
     if len(g) < n:
         raise ValueError(
             f"patch family is disconnected: points {sorted(set(range(n)) - g.keys())} cannot "
-            "be placed from the largest patch" + (f", patches {left} not aligned" if left else "")
+            "be placed from the largest patch" + (f", patches {sorted(left)} not aligned" if left else "")
         )
     f = np.array([g[i] for i in range(n)], dtype=complex)
     return f - f.mean()
@@ -413,28 +421,40 @@ def phase_propagation_stitch(patches, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # phase retrieval for 3-fold transitive permutation actions
 
+def _pair_sum_coefficients(psi0: np.ndarray, n: int):
+    """The order (i, j, k) of psi0's positions and the coefficients (alpha, beta, gamma, e,
+    kappa) of the closed form in :func:`three_transitive_phase_retrieval`, for the order that
+    maximizes min(n |Re gamma|, |kappa|).  InadmissibleGeneratorError if that or n |Im gamma|,
+    the same for all orders, is at most RANK_RTOL * n^2 ||psi0||^2."""
+    orders = np.array(list(permutations(range(3))))
+    a, b, e = np.abs(psi0[orders.T]) ** 2
+    w = psi0[orders[:, 0]].conj() * psi0[orders[:, 1]]
+    gamma, kappa = n * w + a + b, n * ((n - 2) * a - 2 * b - 2 * w.real)
+    divisor = np.minimum(n * np.abs(gamma.real), np.abs(kappa))
+    x = int(divisor.argmax())
+    tol = RANK_RTOL * n * n * float(np.vdot(psi0, psi0).real)
+    for name, value in (("n |Im gamma|", n * abs(gamma[x].imag)),
+                        ("min(n |Re gamma|, |kappa|)", divisor[x])):
+        if value <= tol:
+            raise InadmissibleGeneratorError(f"psi0 fails condition {name} > RANK_RTOL * n^2 "
+                                             f"||psi0||^2 = {tol:.3e}: it is {value:.3e}")
+    return orders[x], ((n - 1) * a[x] - b[x], (n - 1) * b[x] - a[x], gamma[x], e[x], kappa[x])
+
+
 def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarray:
     """Recover a zero-sum vector f (up to global phase) from the magnitudes
-    |<f, Pi(h) psi>|, h in a list of permutations of n >= 3 points, where psi is
-    the trivial extension of a 3-point generator psi0 supported on {0,1,2}.
+    |<f, Pi(h) psi>|, h in a list of permutations of n >= 3 points, where psi is the
+    trivial extension of a zero-sum 3-point generator psi0 (default: the p=3 time-side
+    generator) supported on {0,1,2}.
 
-    A measurement reads h only on {0,1,2}, so what the list needs, and what one
-    bincount over its N base-triple codes checks in O(N + n^3) memory, is weaker than
-    3-fold transitivity: every ordered triple of distinct points is some (h(0), h(1), h(2)).
-    psi0 must be zero-sum so that each measurement depends only on the local
-    zero-sum projection of f; the default is the p=3 time-side generator.
-    On a support A = h({0,1,2}), h acts through the local permutation
-    sigma(i) = position of h(i) in sorted A, which is the affine map
-    m -> k + l*m of Z_3 (S(3) = Aff(Z_3)).  The measurements on A are thus
-    the affine frame magnitudes at p=3 (repeats of one (A, sigma) are
-    averaged), and all patches are solved by one stacked
-    :func:`recovery.recover_vector` call on the Fourier side of psi0, which
-    also checks psi0 for admissibility and each patch for rank one.  A patch whose
-    magnitudes are all at most errors.ZERO_PATCH_RTOL times the largest is taken as
-    zero.  For zero-sum f, sum_j (f(i) - f(j)) conj(f(k) - f(j)) = n f(i) conj(f(k)) + ||f||^2;
-    a patch's values v give its terms as the phase-free block 3 v v^H + ||v||^2, and the sum G
-    of the blocks, diagonal divided by n - 2, is n f f^H + ||f||^2 with trace 2n ||f||^2.  f is
-    read off as in recover_vector; InconsistentDataError if its forward residual > RANK_ONE_RTOL.
+    A measurement reads h only at t = (h(0), h(1), h(2)), so the list needs only that every
+    ordered triple of distinct points is some t, which one bincount over the codes of t checks
+    in O(N + n^3) memory.  It also averages y^2 per t into an n x n x n array M, linear in
+    X = f f^H.  For X with zero row and column sums, the pair sums S(u, v) = sum_c M at
+    (t_i, t_j, t_k) = (u, v, c), u != v, are alpha X(u,u) + beta X(v,v) + gamma X(u,v) +
+    conj(gamma) X(v,u) + e tr X.  Summed over all (u, v) they give tr X, over v the diagonal,
+    and S(u, v) with S(v, u) the rest.  f is read off as in recover_vector;
+    InconsistentDataError if its forward residual > RANK_ONE_RTOL.
     """
     perms = perms if isinstance(perms, np.ndarray) else list(perms)
     if len(perms) == 0:
@@ -449,47 +469,33 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     if (y < 0).any():
         raise ValueError(f"magnitude {int(np.argmax(y < 0))} is negative; need nonnegative ones")
     H = _permutation_rows(perms, n)
-    if len(H) < perm(n, 3) or np.count_nonzero(np.bincount(H[:, :3] @ (n * n, n, 1))) < perm(n, 3):
+    code = H[:, :3] @ (n * n, n, 1)
+    count = np.bincount(code, minlength=n**3) if len(H) >= perm(n, 3) else None
+    if count is None or np.count_nonzero(count) < perm(n, 3):
         covered = set(map(tuple, H[:, :3].tolist()))
         missing = next(t for t in permutations(range(n), 3) if t not in covered)
         raise ValueError(f"permutation list is not 3-fold transitive: no h maps (0, 1, 2) to {missing}")
-    if psi0 is None:
-        psi0 = canonical_time_generator(3)
-    psi0 = require_finite("psi0", psi0)
+    psi0 = require_finite("psi0", canonical_time_generator(3) if psi0 is None else psi0)
     if psi0.shape != (3,):
         raise ValueError("psi0 must be a vector on 3 points")
     if abs(psi0.sum()) > ZERO_SUM_RTOL * np.linalg.norm(psi0):
         raise ValueError("psi0 must be zero-sum")
-    phi = np.fft.fft(psi0, norm="ortho")[1:]
-
-    # key each measurement by its support and by the index (l-1)*3 + k of the
-    # affine map sigma(m) = k + l*m, sigma(i) = pos[:, i], in l-outer-k-inner order
-    pos = np.sum(H[:, None, :3] < H[:, :3, None], axis=2)
-    index = ((pos[:, 1] - pos[:, 0]) % 3 - 1) * 3 + pos[:, 0]
-    S, patch = np.unique(np.sort(H[:, :3], axis=1), axis=0, return_inverse=True)
-    supports = [tuple(a) for a in S.tolist()]
-    cell = patch * 6 + index
-    ys = y[np.argsort(cell, kind="stable")]
-    start = np.flatnonzero(np.diff(np.sort(cell), prepend=-1))  # the coverage fills every cell
-    hi = np.maximum.reduceat(ys, start)
-    spread = hi - np.minimum.reduceat(ys, start)
-    bad = np.flatnonzero(spread > REPEAT_MATCH_RTOL * np.maximum(hi, 1.0)) // 6
+    (i, j, k), (alpha, beta, gamma, e, kappa) = _pair_sum_coefficients(psi0, n)
+    hi = np.zeros(n**3)
+    np.maximum.at(hi, code, y)
+    bad = np.flatnonzero(hi[code] - y > REPEAT_MATCH_RTOL * np.maximum(hi[code], 1.0))
     if bad.size:
-        raise InconsistentDataError(f"repeated measurements disagree on patch {supports[bad[0]]}")
-    mag = (np.add.reduceat(ys, start) / np.diff(start, append=len(ys))).reshape(-1, 6)
-    mag[mag.max(axis=1) <= ZERO_PATCH_RTOL * mag.max()] = 0.0  # rounding noise, not signal
-    try:
-        fhat = recovery.recover_vector(mag**2, phi, 3)
-    except InconsistentDataError as exc:
-        raise InconsistentDataError(f"patch {supports[exc.record[0]]}: {exc}") from exc
-    v = np.fft.ifft(np.concatenate([np.zeros((len(fhat), 1)), fhat], axis=1), norm="ortho")
-    G = np.zeros((n, n), dtype=complex)
-    blocks = 3 * v[:, :, None] * v[:, None, :].conj() + (np.abs(v) ** 2).sum(axis=1)[:, None, None]
-    np.add.at(G, (S[:, :, None], S[:, None, :]), blocks)
-    G[np.diag_indices(n)] /= n - 2
-    A = (G - np.trace(G).real / (2 * n)) / n  # f f^H
-    j = int(A.diagonal().real.argmax())
-    g = canonical_phase(A[:, j] / np.sqrt(A[j, j].real if A[j, j].real > 0 else np.inf))
+        t = tuple(sorted(H[bad[0], :3].tolist()))
+        raise InconsistentDataError(f"repeated measurements disagree on patch {t}")
+    M = (np.bincount(code, y * y, n**3) / np.maximum(count, 1)).reshape(n, n, n)
+    S = M.sum(axis=k) if i < j else M.sum(axis=k).T
+    tr = S.sum() / (n * (n - 2) * np.vdot(psi0, psi0).real)
+    d = (S.sum(axis=1) - (beta + (n - 1) * e) * tr) / kappa
+    R = S - alpha * d[:, None] - beta * d - e * tr
+    X = (gamma * R - gamma.conjugate() * R.T) / (gamma**2 - gamma.conjugate() ** 2)
+    X[np.diag_indices(n)] = d
+    top = int(d.argmax())
+    g = canonical_phase(X[:, top] / np.sqrt(d[top] if d[top] > 0 else np.inf))
     recovery._check_forward_residual(np.abs(g[H[:, :3]] @ psi0.conj()) ** 2, y**2)
     return g
 
@@ -546,7 +552,7 @@ def pauli_pair_family(f, g, psi) -> PauliPairReport:
 def frequency_deleted_moduli(f, p: int) -> np.ndarray:
     """Measurements |P_l f| for l in {1..p-1}, where P_l removes the l-th
     frequency; returned as a (p-1) x p array, row l-1."""
-    f = np.asarray(f, dtype=complex)
+    f = require_finite("f", f)
     if f.shape != (p,):
         raise ValueError(f"f must live on Z_{p}")
     gh = np.tile(np.fft.fft(f, norm="ortho"), (p - 1, 1))  # row l-1 drops the frequency l

@@ -7,15 +7,14 @@ inputs, e.g. measurements that no signal can explain (CLI exit code 3).
 
 import numpy as np
 
-#: The one "numerically zero" tolerance: singular values below RANK_RTOL * sigma_max
-#: do not count towards a rank; |c_phi|, |A_phi| <= RANK_RTOL * ||phi||^2 vanish.
+#: The one "numerically zero" tolerance: singular values below RANK_RTOL * sigma_max do not
+#: count towards a rank, nor do those of B_phi below RANK_RTOL * ||phi||^2 (noise has rank 0);
+#: |c_phi|, |A_phi| <= this * ||phi||^2 and 3-transitive divisors <= this * n^2 ||psi0||^2 vanish.
 RANK_RTOL = 1e-10
 
 #: Phase retrieval rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||;
 #: the 3-transitive pipeline rejects magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||.
 RANK_ONE_RTOL = 1e-6
-#: A 3-point patch whose magnitudes are all <= this * the largest of all patches is zero.
-ZERO_PATCH_RTOL = 1e-8
 
 #: Phase propagation (``diagnostics.phase_propagation_stitch``): with t = this * the largest
 #: patch norm, an aligned patch that misses a placed point by more than t disagrees, a patch of

@@ -79,7 +79,7 @@ class _GeneratorPlan:
         scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
         cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
         U, sv, Vh = np.linalg.svd(B, full_matrices=False)
-        rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
+        rank = int(np.sum(sv > RANK_RTOL * scale))
         cond_ii = rank == p - 2
         report = GeneratorReport(p=p, cond_i_values=c, cond_i_holds=cond_i, b_phi=B,
                                  b_phi_rank=rank, cond_ii_holds=cond_ii,

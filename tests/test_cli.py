@@ -278,6 +278,29 @@ def test_heisenberg_pipeline(capsys, tmp_path):
     assert np.allclose(parse_matrix(rec), A, atol=1e-9)
 
 
+@pytest.mark.parametrize("action, option", [("forward", "matrix"), ("recover", "measurements")])
+def test_exit_code_2_names_a_missing_heisenberg_option(capsys, tmp_path, action, option):
+    phi_path = tmp_path / "phi.json"
+    write_vector(phi_path, np.ones(4), range(4))
+    assert main(["heisenberg", "--n", "4", action, "--phi", str(phi_path)]) == 2
+    assert capsys.readouterr().err == f"error: heisenberg {action} requires --{option}\n"
+
+
+def test_heisenberg_recover_reports_the_relative_residual(capsys, tmp_path):
+    n = 5
+    phi = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+    A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+    F = heisenberg.h_forward(A, phi)
+    paths = {name: tmp_path / f"{name}.json" for name in ("phi", "F")}
+    write_vector(paths["phi"], phi, range(n))
+    write_matrix(paths["F"], F)
+    code, doc = run(capsys, "heisenberg", "--n", str(n), "recover", "--phi", str(paths["phi"]),
+                    "--measurements", str(paths["F"]))
+    assert code == 0 and np.allclose(parse_matrix(doc), A, atol=1e-9)
+    assert doc["relative_residual"] == pytest.approx(doc["residual"] / np.linalg.norm(F), rel=1e-12)
+    assert doc["relative_residual"] < 1e-10
+
+
 def test_diagnostics_complement(capsys, tmp_path):
     V = RNG.normal(size=(6, 3))
     path = tmp_path / "vecs.json"

@@ -1,4 +1,5 @@
 import re
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from affinephase.diagnostics import (
     PatchData,
     _affine_coefficients,
+    _pair_sum_coefficients,
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
@@ -145,6 +147,21 @@ def test_difference_coefficients():
     coeffs = difference_coefficients(f, 0, 1, S3)
     for h, val in coeffs.items():
         assert abs(val - (f[h[0]] - f[h[1]])) < 1e-14
+
+
+def test_difference_coefficients_accept_a_covering_list_that_is_not_2_transitive():
+    # one row per ordered pair (h(0), h(1)), completed by the other points in ascending order
+    rows = [t + tuple(sorted(set(range(4)) - set(t))) for t in permutations(range(4), 2)]
+    assert not is_k_transitive(rows, 2, 4)
+    f = rand_zero_sum(4)
+    coeffs = difference_coefficients(f, 0, 1, rows)
+    assert coeffs == {h: complex(f[h[0]] - f[h[1]]) for h in rows}
+
+
+def test_difference_coefficients_name_a_missing_pair():
+    rows = [h for h in permutations(range(3)) if h != (1, 0, 2)]
+    with pytest.raises(ValueError, match=re.escape("no h maps (0, 1) to (1, 0)")):
+        difference_coefficients(rand_zero_sum(3), 0, 1, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +318,28 @@ def test_phase_propagation_stitch_names_the_missed_point():
         phase_propagation_stitch(patches, 4)
 
 
+def test_phase_propagation_stitch_time_does_not_depend_on_the_listing_order():
+    # a chain of 2,000 patches whose largest sits at its start: listed from the far end, each
+    # patch waits for the one after it in the list, which a rescan of the waiting list after
+    # every sweep would turn into E^2 / 2 readings
+    n = 2002
+    f = rand_zero_sum(n)
+    f[0] += 100.0
+    f -= f.mean()
+    chain = random_phase_patches(f, [(i, i + 1, i + 2) for i in range(n - 2)])
+
+    def best_of_3(patches):
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            g = phase_propagation_stitch(patches, n)
+            seconds.append(time.perf_counter() - start)
+        assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+        return min(seconds)
+
+    assert best_of_3(chain[:1] + chain[:0:-1]) <= 5 * best_of_3(chain)
+
+
 @pytest.mark.parametrize("n, supports, zero", [
     (7, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], ()),  # point 6 is in no patch
     (6, [(0, 1, 2), (3, 4, 5)], (1,)),  # a zero patch in its own component
@@ -374,25 +413,7 @@ def test_three_transitive_rejects_disagreeing_repeats():
         three_transitive_phase_retrieval(meas, perms)
 
 
-def test_three_transitive_recovers_all_patches_in_one_call(monkeypatch):
-    from affinephase import recovery
-
-    calls = []
-    original = recovery.recover_vector
-
-    def counted(F, phi, p):
-        calls.append(np.shape(F))
-        return original(F, phi, p)
-
-    monkeypatch.setattr(recovery, "recover_vector", counted)
-    S5 = list(permutations(range(5)))
-    f = rand_zero_sum(5)
-    g = three_transitive_phase_retrieval(measurements_for(f, S5, canonical_time_generator(3)), S5)
-    assert calls == [(10, 6)]  # C(5,3) patches, six affine maps of Z_3 each
-    assert phase_distance(g, f) < 1e-6
-
-
-def test_three_transitive_names_patch_of_non_rank_one_data():
+def test_three_transitive_rejects_non_rank_one_data():
     # on S(5) every (h(0), h(1), h(2)) is measured twice; scaling both copies
     # keeps the repeats in agreement but leaves no rank-one solution
     S5 = list(permutations(range(5)))
@@ -401,7 +422,7 @@ def test_three_transitive_names_patch_of_non_rank_one_data():
     twins = [i for i, g in enumerate(S5) if g[:3] == h[:3]]
     assert len(twins) == 2
     meas[twins] *= 1.5
-    with pytest.raises(InconsistentDataError, match=re.escape(f"patch {tuple(sorted(h[:3]))}: ")):
+    with pytest.raises(InconsistentDataError, match="forward residual .* > RANK_ONE_RTOL"):
         three_transitive_phase_retrieval(meas, S5)
 
 
@@ -409,7 +430,7 @@ def test_three_transitive_names_patch_of_non_rank_one_data():
     "f", [(1, 1, 1, -3), (0.5, 0.5, 0.5, -1.5), (1, 1, 1, -1.5, -1.5), (0, 0, 0, 1, -1)]
 )
 def test_three_transitive_retrieval_with_a_constant_patch(f):
-    # f is constant on {0, 1, 2}: that patch's magnitudes are rounding noise, taken as zero
+    # f is constant on {0, 1, 2}: the measurements there are rounding noise
     f = np.array(f, dtype=complex)
     perms = list(permutations(range(len(f))))
     meas = measurements_for(f, perms, canonical_time_generator(3))
@@ -431,7 +452,7 @@ def test_three_transitive_requires_transitivity():
         three_transitive_phase_retrieval(np.zeros(4), cyc)
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 31])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_three_transitive_retrieval_on_pgl2(p):
     rows = pgl2(p)
     n = p + 1
@@ -476,11 +497,43 @@ def test_three_transitive_uses_neither_transitivity_nor_stitch(monkeypatch):
 
     for name in ("is_k_transitive", "phase_propagation_stitch"):
         monkeypatch.setattr(diagnostics, name, forbidden)
+    for name in ("recover_vector", "recover_matrix"):
+        monkeypatch.setattr(diagnostics.recovery, name, forbidden)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     S5 = list(permutations(range(5)))
     f = rand_zero_sum(5)
     g = three_transitive_phase_retrieval(measurements_for(f, S5, canonical_time_generator(3)), S5)
     assert phase_distance(g, f) < 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_three_transitive_retrieval_on_symmetric_groups(n):
+    perms = list(permutations(range(n)))
+    f = rand_zero_sum(n)
+    g = three_transitive_phase_retrieval(measurements_for(f, perms, canonical_time_generator(3)), perms)
+    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_three_transitive_with_one_vanishing_fourier_coefficient(n):
+    # psi0 = (1, w, w^2), w = e^{2 pi i/3}, has psi0^(1) psi0^(2) = 0; of the closed form's
+    # divisors, kappa vanishes at n = 3 and Re gamma at n = 4, in every order of the positions
+    psi0 = np.exp(2j * np.pi / 3) ** np.arange(3)
+    perms = list(permutations(range(n)))
+    f = rand_zero_sum(n)
+    meas = measurements_for(f, perms, psi0)
+    if n < 5:
+        with pytest.raises(InadmissibleGeneratorError, match=r"condition min\(n \|Re gamma\|, \|kappa\|\)"):
+            three_transitive_phase_retrieval(meas, perms, psi0=psi0)
+    else:
+        g = three_transitive_phase_retrieval(meas, perms, psi0=psi0)
+        assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_three_transitive_canonical_generator_clears_every_divisor():
+    psi0 = canonical_time_generator(3)
+    for n in range(3, 61):
+        _pair_sum_coefficients(psi0, n)  # raises InadmissibleGeneratorError otherwise
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -571,6 +624,10 @@ NON_FINITE_CALLS = {
         "vectors", lambda: complement_property(_with(np.eye(3), (0, 0), np.nan))),
     "phase_propagation_stitch": ("patch values", lambda: phase_propagation_stitch(
         [PatchData((0, 1, 2), _with(np.zeros(3), 1, np.nan))], 3)),
+    "difference_coefficients": ("f", lambda: difference_coefficients(
+        _with(rand_zero_sum(3), 1, np.nan), 0, 1, list(permutations(range(3))))),
+    "frequency_deleted_moduli": ("f", lambda: frequency_deleted_moduli(
+        _with(rand_zero_sum(5), 2, np.inf), 5)),
     "pauli_pair_family f": ("f", lambda: pauli_pair_family(
         _with(np.ones(5), 2, np.nan), np.ones(5), canonical_time_generator(5))),
     "pauli_pair_family g": ("g", lambda: pauli_pair_family(

@@ -80,6 +80,16 @@ def test_delta_generator_fails_condition_ii():
         assert not rep.cond_ii_holds
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_b_phi_of_rounding_noise_fails_condition_ii(p):
+    # B_phi of delta_1 + 1e-17 is all noise, so relative to its own sigma_max it looks full rank
+    phi = np.eye(p - 1)[0] + 1e-17
+    rep = check_generator(phi, p)
+    assert rep.b_phi_rank == 0 and not rep.cond_ii_holds and not rep.admissible
+    with pytest.raises(InadmissibleGeneratorError, match=r"condition \(ii\) rank\(B_phi\) = 0"):
+        recover_matrix(np.zeros(p * (p - 1)), phi, p)
+
+
 def generators(p):
     return canonical_generator(p), RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
 
