@@ -13,8 +13,7 @@ moduli); a list that mixes the two, or a number outside double range, exits 2.
 
 Exit codes: 0 success, 2 validation error (malformed input, length
 mismatch, p or n above errors.MAX_SIZE, inadmissible generator), 3 numerical
-failure (tolerance exceeded during recovery).  The SEED environment variable overrides the
-default seed of randomized subcommands.
+failure (tolerance exceeded during recovery).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -129,8 +127,9 @@ def _read_vector(path: str, labels) -> np.ndarray:
     if not isinstance(doc, dict) or "values" not in doc:
         raise ValueError(f"{path}: expected a vector object with a 'values' field")
     values = _complex_array(doc["values"], f"{path} values", 1)
-    if doc.get("labels") is not None and list(doc["labels"]) != list(labels):
-        raise ValueError(f"{path}: labels {doc['labels']} do not match expected {list(labels)}")
+    got = doc.get("labels")
+    if got is not None and (not isinstance(got, list) or got != list(labels)):
+        raise ValueError(f"{path}: labels {got!r} do not match expected {list(labels)}")
     if len(values) != len(labels):
         raise ValueError(f"{path}: expected {len(labels)} values, got {len(values)}")
     return values
@@ -156,12 +155,12 @@ def _read_measurements(path: str, p: int, real: bool = False) -> np.ndarray:
         raise ValueError(
             f"{path}: order tag {doc.get('order')!r} must be {ENUMERATION_ORDER_TAG!r}"
         )
-    values = doc.get("values", [])
+    values = _complex_array(doc.get("values", []), f"{path} values", 1, real)
     if len(values) != p * (p - 1):
         raise ValueError(
             f"{path}: expected p(p-1) = {p * (p - 1)} values, got {len(values)}"
         )
-    return _complex_array(values, f"{path} values", 1, real)
+    return values
 
 
 def _vector_doc(values, labels) -> dict:
@@ -186,16 +185,6 @@ def _emit_with_residual(out: dict, fitted, F) -> int:
     scale = max(float(np.linalg.norm(F)), np.finfo(float).tiny)
     _emit({**out, "residual": resid, "relative_residual": resid / scale})
     return EXIT_OK
-
-
-def _seed(default: int = 0) -> int:
-    raw = os.environ.get("SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise ValueError(f"SEED must be an integer, got {raw!r}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +274,9 @@ def _cmd_heisenberg(args) -> int:
     _require(args, "heisenberg", args.action)
     phi = _read_vector(args.phi, range(n))
     if args.action == "check":
-        amb = float(np.min(np.abs(heisenberg.ambiguity(phi))))
-        _emit({"n": n, "admissible": heisenberg.check_generator_h(phi), "min_ambiguity_modulus": amb})
+        amb = heisenberg.ambiguity(phi)
+        _emit({"n": n, "admissible": heisenberg._vanishing_point(amb, phi) is None,
+               "min_ambiguity_modulus": float(np.min(np.abs(amb)))})
     elif args.action == "forward":
         A = _read_matrix(args.matrix, (n, n))
         _emit(_matrix_doc(heisenberg.h_forward(A, phi), range(n), range(n)))
@@ -357,7 +347,7 @@ def _cmd_bench(args) -> int:
         p = int(tok)
         validate_prime(p)
         primes.append(p)
-    rng = np.random.default_rng(_seed(0))
+    rng = np.random.default_rng(0)
     rows = []
     for p in primes:
         phi = recovery.canonical_generator(p)
@@ -380,7 +370,7 @@ def _cmd_bench(args) -> int:
                 "max_relative_error": err,
             }
         )
-    _emit({"seed": _seed(0), "results": rows})
+    _emit({"seed": 0, "results": rows})
     return EXIT_OK
 
 

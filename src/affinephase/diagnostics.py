@@ -3,7 +3,7 @@
 Contents:
   * complement property and full spark checks for explicit frame systems;
   * difference-frame coefficients for doubly transitive permutation groups
-    and conjugate-phase reconstruction via planar multidimensional scaling;
+    and conjugate-phase reconstruction from two columns of the planar Gram matrix;
   * the dimension-3 counterexample verifier for the extended generator
     delta_k0 - delta_l0 + n^{-1/2} * 1;
   * phase propagation: stitching locally known 3-point patches into a
@@ -25,9 +25,9 @@ from math import hypot, perm
 import numpy as np
 
 from . import recovery
-from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, GRAM_RTOL, PAULI_MATCH_RTOL, RANK_RTOL,
-                     REPEAT_MATCH_RTOL, STITCH_RTOL, ZERO_SUM_RTOL, InadmissibleGeneratorError,
-                     InconsistentDataError, require_finite)
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, STITCH_RTOL,
+                     ZERO_SUM_RTOL, InadmissibleGeneratorError, InconsistentDataError,
+                     require_finite)
 from .group_fourier import _frame_coefficients
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator
@@ -196,13 +196,16 @@ def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...],
 def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     """Reconstruct a zero-sum vector from all pairwise moduli |f(k) - f(l)|.
 
-    ``moduli`` is the symmetric n x n matrix of pairwise distances.  Classical
-    multidimensional scaling in the plane recovers the configuration up to a
-    planar isometry; centering removes the translation, and the remaining
-    rotation/reflection ambiguity (a unit scalar, possibly with conjugation)
-    is fixed by a canonical representative: the largest-modulus coordinate is
-    rotated to the positive real axis and the configuration is conjugated if
-    the second-largest-modulus coordinate has negative imaginary part.
+    ``moduli`` is the symmetric n x n matrix D of pairwise distances.  The centred Gram
+    matrix B = -J D^2 J / 2, B(k, l) = Re(f(k) conj(f(l))), is read off two of its columns,
+    as recover_vector reads f: x = B(:, a) / sqrt(B(a, a)) at the largest diagonal entry a,
+    then y likewise from B - x x^T at its largest diagonal entry b (y = 0 if that entry is
+    <= COLLINEAR_RTOL * tr B), and z = x + i y.  InconsistentDataError if the forward
+    residual of |z(k) - z(l)|^2 against D^2 exceeds RANK_ONE_RTOL, as for moduli that are
+    not planar.  The remaining rotation/reflection ambiguity (a unit scalar, possibly with
+    conjugation) is fixed by a canonical representative: the largest-modulus coordinate is
+    rotated to the positive real axis and the configuration is conjugated if the
+    second-largest-modulus coordinate has negative imaginary part.
     Symmetry, the zero diagonal and that sign are tested to errors.CONJUGATE_PR_RTOL.
     """
     D = np.asarray(moduli, dtype=float)
@@ -218,29 +221,19 @@ def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     atol = CONJUGATE_PR_RTOL * max(scale, 1.0)
     if not np.allclose(D, D.T, atol=atol) or np.max(np.abs(np.diag(D))) > atol:
         raise ValueError("moduli matrix must be symmetric with zero diagonal")
-    if scale == 0.0:
-        return np.zeros(n, dtype=complex)
-
-    J = np.eye(n) - np.ones((n, n)) / n
-    B = -0.5 * J @ (D**2) @ J
-    evals, evecs = np.linalg.eigh(B)
-    trace = float(np.sum(np.abs(evals)))
-    if evals[0] < -GRAM_RTOL * trace:
-        raise InconsistentDataError(
-            f"inconsistent moduli: negative Gram eigenvalue {evals[0]:.3e}"
-        )
-    if n > 3 and float(np.sum(evals[:-2][evals[:-2] > 0])) > GRAM_RTOL * trace:
-        raise InconsistentDataError("inconsistent moduli: configuration is not planar")
-    top = np.maximum(evals[-2:], 0.0)
-    top[top < COLLINEAR_RTOL * trace] = 0.0  # collinear configurations: drop noise axis
-    coords = evecs[:, -2:] * np.sqrt(top)
-    z = coords[:, 0] + 1j * coords[:, 1]
+    D2 = D**2
+    B = (D2.mean(axis=0) + D2.mean(axis=1)[:, None] - D2.mean() - D2) / 2  # -J D^2 J / 2
+    a = int(np.argmax(B.diagonal()))
+    x = B[:, a] / np.sqrt(B[a, a] if B[a, a] > 0 else np.inf)
+    y2 = B.diagonal() - x**2
+    b = int(np.argmax(y2))
+    y = (B[:, b] - x * x[b]) / np.sqrt(y2[b]) if y2[b] > COLLINEAR_RTOL * np.trace(B) else 0.0
+    z = x + 1j * y
     z = z - z.mean()  # exact zero-sum after roundoff
+    recovery._check_forward_residual(np.abs(z[:, None] - z).ravel() ** 2, D2.ravel())
     z = canonical_phase(z)
-    order = np.argsort(np.abs(z))
-    if len(order) >= 2 and z[order[-2]].imag < -CONJUGATE_PR_RTOL * scale:
-        z = z.conj()
-        z = canonical_phase(z)
+    if z[np.argsort(np.abs(z))[-2]].imag < -CONJUGATE_PR_RTOL * scale:
+        z = canonical_phase(z.conj())
     return z
 
 
@@ -481,12 +474,6 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     if abs(psi0.sum()) > ZERO_SUM_RTOL * np.linalg.norm(psi0):
         raise ValueError("psi0 must be zero-sum")
     (i, j, k), (alpha, beta, gamma, e, kappa) = _pair_sum_coefficients(psi0, n)
-    hi = np.zeros(n**3)
-    np.maximum.at(hi, code, y)
-    bad = np.flatnonzero(hi[code] - y > REPEAT_MATCH_RTOL * np.maximum(hi[code], 1.0))
-    if bad.size:
-        t = tuple(sorted(H[bad[0], :3].tolist()))
-        raise InconsistentDataError(f"repeated measurements disagree on patch {t}")
     M = (np.bincount(code, y * y, n**3) / np.maximum(count, 1)).reshape(n, n, n)
     S = M.sum(axis=k) if i < j else M.sum(axis=k).T
     tr = S.sum() / (n * (n - 2) * np.vdot(psi0, psi0).real)

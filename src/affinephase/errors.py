@@ -12,8 +12,10 @@ import numpy as np
 #: |c_phi|, |A_phi| <= this * ||phi||^2 and 3-transitive divisors <= this * n^2 ||psi0||^2 vanish.
 RANK_RTOL = 1e-10
 
-#: Phase retrieval rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||;
-#: the 3-transitive pipeline rejects magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||.
+#: The one consistency test of the three retrievals, the forward residual: phase retrieval
+#: rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||, the
+#: 3-transitive pipeline magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||, and
+#: conjugate phase retrieval moduli D if || |f(k) - f(l)|^2 - D^2 || > this * ||D^2||.
 RANK_ONE_RTOL = 1e-6
 
 #: Phase propagation (``diagnostics.phase_propagation_stitch``): with t = this * the largest
@@ -24,14 +26,11 @@ STITCH_RTOL = 1e-8
 #: within this * max(largest modulus, 1), and the second-largest coordinate counts as in
 #: the lower half-plane below -this * largest modulus.
 CONJUGATE_PR_RTOL = 1e-8
-#: Conjugate PR fails on a Gram eigenvalue < -this * trace, or off-plane mass > this * trace.
-GRAM_RTOL = 1e-8
-#: Conjugate PR drops a top Gram axis < this * trace: the noise axis of a collinear configuration.
+#: Conjugate PR sets the second axis to zero if its largest Gram diagonal entry, after the
+#: first axis is taken out, is <= this * trace: the noise axis of a collinear configuration.
 COLLINEAR_RTOL = 1e-12
 #: A vector (psi0, or the f of projection phase retrieval) is zero-sum if |sum| <= this * norm.
 ZERO_SUM_RTOL = 1e-10
-#: 3-transitive pipeline: repeated measurements agree within this * max(largest of them, 1).
-REPEAT_MATCH_RTOL = 1e-8
 #: Pauli pairs: two coefficient moduli match within this * the largest coefficient modulus.
 PAULI_MATCH_RTOL = 1e-10
 

@@ -352,6 +352,12 @@ def test_bench(capsys):
     assert all(r["max_relative_error"] <= 1e-9 for r in doc["results"])
 
 
+def test_bench_ignores_the_seed_environment_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SEED", "abc")
+    code, doc = run(capsys, "bench", "--p-list", "3")
+    assert code == 0 and doc["seed"] == 0
+
+
 def test_byte_determinism(capsys):
     main(["gen-vector", "--p", "7", "--time-side"])
     out1 = capsys.readouterr().out
@@ -502,6 +508,16 @@ def test_heisenberg_check_and_forward_match_the_library(capsys, tmp_path):
     assert out == emitted(capsys, expected)
 
 
+def test_heisenberg_check_builds_one_ambiguity_table(capsys, tmp_path, monkeypatch):
+    calls = []
+    ambiguity = heisenberg.ambiguity
+    monkeypatch.setattr(heisenberg, "ambiguity", lambda phi: calls.append(1) or ambiguity(phi))
+    phi_path = tmp_path / "phi.json"
+    write_vector(phi_path, np.ones(4), range(4))  # its ambiguity function vanishes
+    code, doc = run(capsys, "heisenberg", "--n", "4", "check", "--phi", str(phi_path))
+    assert code == 0 and doc["admissible"] is False and len(calls) == 1
+
+
 def write_affine_inputs(tmp_path, p):
     """phi.json, A.json and F.json for ``forward`` and ``recover-matrix`` at p."""
     phi = canonical_generator(p)
@@ -553,6 +569,20 @@ def test_exit_code_2_on_label_mismatch(capsys, tmp_path):
     write_vector(phi_path, canonical_generator(5), range(4))
     assert main(["check-generator", "--p", "5", "--phi", str(phi_path)]) == 2
     assert "do not match expected [1, 2, 3, 4]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message",
+    [("F", "values", 3, " values: ragged, or not 1-d"),
+     ("phi", "labels", 5, ": labels 5 do not match expected [1, 2, 3, 4]")],
+    ids=["measurement-values", "vector-labels"],
+)
+def test_exit_code_2_names_the_file_of_a_scalar_field(capsys, tmp_path, name, field, value, message):
+    paths, docs = write_affine_inputs(tmp_path, 5)
+    docs[name][field] = value
+    write_docs(paths, docs)
+    assert run_affine(paths, "recover-matrix") == 2
+    assert f"{paths[name]}{message}" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_ragged_matrix(capsys, tmp_path):

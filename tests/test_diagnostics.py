@@ -193,6 +193,40 @@ def test_conjugate_phase_reconstruct_rejects_non_planar():
         conjugate_phase_reconstruct(D)
 
 
+def test_conjugate_phase_reconstruct_without_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conjugate phase retrieval reads two Gram columns; it runs no eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    test_conjugate_phase_reconstruct_round_trip()
+    test_conjugate_phase_reconstruct_collinear_configuration()
+
+
+def test_conjugate_phase_reconstruct_of_noisy_moduli():
+    # 1e-7 relative symmetric noise leaves a forward residual below RANK_ONE_RTOL
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        f = rand_zero_sum(8)
+        E = rng.normal(size=(8, 8))
+        D = np.abs(f[:, None] - f[None, :]) * (1 + 1e-7 * (E + E.T) / 2)
+        g = conjugate_phase_reconstruct(D)
+        assert min(phase_distance(g, f), phase_distance(g, f.conj())) <= 1e-5 * np.linalg.norm(f)
+
+
+def test_conjugate_phase_reconstruct_residual_error_names_no_record():
+    # the residual runs on the raveled n x n moduli, one record, not a stack of n rows
+    f = rand_zero_sum(5)
+    D = np.abs(f[:, None] - f[None, :])
+    D[0, 1] = D[1, 0] = D[0, 1] * 1.5
+    with pytest.raises(InconsistentDataError, match="^measurements inconsistent: .* forward "
+                                                    "residual .* > RANK_ONE_RTOL"):
+        conjugate_phase_reconstruct(D)
+
+
+def test_conjugate_phase_reconstruct_of_zero_moduli():
+    assert np.array_equal(conjugate_phase_reconstruct(np.zeros((4, 4))), np.zeros(4))
+
+
 def test_conjugate_phase_reconstruct_rejects_negative_moduli():
     # the moduli are squared into the Gram matrix, so a sign would otherwise be dropped
     f = np.exp(2j * np.pi * np.arange(5) / 5)  # zero-sum
@@ -409,8 +443,22 @@ def test_three_transitive_rejects_disagreeing_repeats():
     meas = measurements_for(rand_zero_sum(4), S4, canonical_time_generator(3))
     perms = S4 + [S4[5]]
     meas = np.append(meas, meas[5] + 1e-3)
-    with pytest.raises(InconsistentDataError, match="repeated measurements disagree"):
+    with pytest.raises(InconsistentDataError, match="forward residual .* > RANK_ONE_RTOL"):
         three_transitive_phase_retrieval(meas, perms)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_three_transitive_retrieval_averages_noisy_repeats(n):
+    # S(n) measures every (h(0), h(1), h(2)) (n - 3)! times; with 1e-7 relative noise the
+    # copies disagree, and only the forward residual judges them
+    perms = list(permutations(range(n)))
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        f = rand_zero_sum(n)
+        meas = measurements_for(f, perms, canonical_time_generator(3))
+        meas *= 1 + 1e-7 * rng.normal(size=len(meas))
+        g = three_transitive_phase_retrieval(meas, perms)
+        assert phase_distance(g, f) <= 1e-5 * np.linalg.norm(f)
 
 
 def test_three_transitive_rejects_non_rank_one_data():
