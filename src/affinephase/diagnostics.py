@@ -25,9 +25,8 @@ from math import hypot, perm
 import numpy as np
 
 from . import recovery
-from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, STITCH_RTOL,
-                     ZERO_SUM_RTOL, InadmissibleGeneratorError, InconsistentDataError,
-                     require_finite)
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, ZERO_SUM_RTOL,
+                     InadmissibleGeneratorError, require_finite)
 from .group_fourier import _frame_coefficients
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator
@@ -59,12 +58,12 @@ def complement_property(vectors, exhaustive: bool = False) -> tuple[bool, tuple[
     otherwise (False, witness) with a witness subset for which both spans
     are deficient.
 
-    The span tests run over the (finitely many) maximal deficient subsets:
-    every deficient subset extends, inside the system, to the closure of an
-    independent (d-1)-subset, so the property fails iff two such closures
-    cover the whole index set.  With ``exhaustive=True`` all 2^n subsets are
-    additionally scanned one by one (a subset is deficient iff it lies in a
-    maximal deficient subset), which cross-checks the closure shortcut.
+    Every deficient subset extends, inside the system, to the closure of an
+    independent (d-1)-subset (the indices whose vectors lie in its span), so the
+    property fails iff the complement of some closure is deficient; that closure is
+    the witness.  One SVD of each (d-1)-subset gives its rank and its span.  With
+    ``exhaustive=True`` all 2^n subsets are additionally scanned one by one (a subset
+    is deficient iff it lies in a closure), which cross-checks the closure test.
     """
     V = _vector_stack(vectors)
     n = V.shape[0]
@@ -78,47 +77,32 @@ def complement_property(vectors, exhaustive: bool = False) -> tuple[bool, tuple[
     if d <= 1:
         return True, None
 
-    # closures of independent (d-1)-subsets: the maximal deficient subsets
-    closures: set[frozenset[int]] = set()
+    closures: set[tuple[int, ...]] = set()
+    witness = None
     for subset in combinations(range(n), d - 1):
-        sub = V[list(subset)]
-        if _rank(sub, scale) < d - 1:
+        _, sv, Vh = np.linalg.svd(V[list(subset)], full_matrices=False)
+        if np.sum(sv > RANK_RTOL * scale) < d - 1:
             continue
-        # indices whose vector lies in span(sub)
-        proj_basis = np.linalg.svd(sub, full_matrices=False)[2][: d - 1]
-        resid = V - (V @ proj_basis.conj().T) @ proj_basis
-        members = frozenset(
-            int(i) for i in np.flatnonzero(np.linalg.norm(resid, axis=1) <= RANK_RTOL * scale)
-        )
-        closures.add(members)
-    maximal = [c for c in closures if not any(c < other for other in closures)]
-    full = frozenset(range(n))
-    result: tuple[bool, tuple[int, ...] | None] = (True, None)
-    for c1 in maximal:
-        for c2 in maximal:
-            if c1 | c2 == full:
-                witness = tuple(sorted(full - c2))  # subset of c1, complement inside c2
-                result = (False, witness)
+        resid = V - (V @ Vh.conj().T) @ Vh  # the part of each vector outside span(subset)
+        inside = np.linalg.norm(resid, axis=1) <= RANK_RTOL * scale
+        c = tuple(np.flatnonzero(inside).tolist())
+        if c in closures:
+            continue
+        closures.add(c)
+        if witness is None and _rank(V[~inside], scale) < d:
+            witness = c
+            if not exhaustive:
                 break
-        if not result[0]:
-            break
 
     if exhaustive:
-        masks = np.array(
-            [sum(1 << i for i in c) for c in maximal] or [0], dtype=np.uint32
-        )
         subsets = np.arange(1 << n, dtype=np.uint32)
         deficient = np.zeros(1 << n, dtype=bool)
-        for m in masks:
-            deficient |= (subsets & ~m) == 0
+        for c in closures:
+            deficient |= (subsets & ~np.uint32(sum(1 << i for i in c))) == 0
         both = deficient & deficient[(~subsets) & np.uint32((1 << n) - 1)]
-        found = bool(np.any(both))
-        if found != (not result[0]):
-            raise AssertionError("exhaustive scan disagrees with closure shortcut")
-        if found and result[1] is None:
-            s = int(np.flatnonzero(both)[0])
-            result = (False, tuple(i for i in range(n) if s >> i & 1))
-    return result
+        if bool(np.any(both)) != (witness is not None):
+            raise AssertionError("exhaustive scan disagrees with the closure test")
+    return witness is None, witness
 
 
 def full_spark(vectors) -> bool:
@@ -206,7 +190,8 @@ def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     conjugation) is fixed by a canonical representative: the largest-modulus coordinate is
     rotated to the positive real axis and the configuration is conjugated if the
     second-largest-modulus coordinate has negative imaginary part.
-    Symmetry, the zero diagonal and that sign are tested to errors.CONJUGATE_PR_RTOL.
+    ValueError unless |D - D^T| and the diagonal are at most CONJUGATE_PR_RTOL * max(max D, 1),
+    with no relative term; that sign is tested to CONJUGATE_PR_RTOL * max D.
     """
     D = np.asarray(moduli, dtype=float)
     require_finite("moduli", D)
@@ -219,7 +204,7 @@ def conjugate_phase_reconstruct(moduli) -> np.ndarray:
         raise ValueError("need at least 3 points")
     scale = float(np.max(D))
     atol = CONJUGATE_PR_RTOL * max(scale, 1.0)
-    if not np.allclose(D, D.T, atol=atol) or np.max(np.abs(np.diag(D))) > atol:
+    if max(np.max(np.abs(D - D.T)), np.max(np.diag(D))) > atol:  # D >= 0 by now
         raise ValueError("moduli matrix must be symmetric with zero diagonal")
     D2 = D**2
     B = (D2.mean(axis=0) + D2.mean(axis=1)[:, None] - D2.mean() - D2) / 2  # -J D^2 J / 2
@@ -351,14 +336,19 @@ def phase_propagation_stitch(patches, n: int) -> np.ndarray:
     """Assemble a zero-sum vector (up to one global unit scalar) from 3-point
     patches each known up to its own unit scalar, by placing values.
 
-    The largest patch is placed as given.  A patch v whose overlap
+    A walk places its seed patch as given.  A patch v whose overlap
     sum (f(i) - f(j)) conj(v(i) - v(j)) over its placed pairs is nonzero, or whose
     points are all placed, is rotated by the overlap's phase and shifted by its mean
-    offset on its placed points; its other points are then written.  A zero patch
-    (norm <= STITCH_RTOL * largest) needs one placed point.  Placing points queues their
-    patches (FIFO, in list order), as only that can make a patch ready.  Returns the placed
-    vector, centred.  InconsistentDataError if a patch misses a placed point by more than
-    STITCH_RTOL * largest; ValueError ("disconnected") if a point stays unplaced."""
+    offset on its placed points; its other points are then written.  With
+    t = RANK_RTOL * the largest patch norm, a patch of norm <= t is zero and needs one
+    placed point, and an overlap of at most t^2 gives no phase.  Placing points queues
+    their patches (FIFO, in list order), as only that can make a patch ready.  The first
+    walk starts from the largest patch; while points stay unplaced, the next starts from
+    the largest patch that no walk has aligned.  The walk that places the most points
+    (the first that places all of them) is judged: InconsistentDataError if the patches v_s
+    on its placed points leave a forward residual > RANK_ONE_RTOL against Q_s f, each
+    turned by its best unit phase; then ValueError ("disconnected") if a point stays unplaced.
+    Returns the placed vector, centred."""
     patches = list(patches)
     supports = [tuple(map(int, q.support)) for q in patches]
     for s in supports:
@@ -366,47 +356,50 @@ def phase_propagation_stitch(patches, n: int) -> np.ndarray:
             raise ValueError(f"patch support {s} outside 0..{n - 1}")
     values = [q.values.tolist() for q in patches]
     norms = [hypot(*map(abs, v)) for v in values]
-    thresh = STITCH_RTOL * max(norms, default=0.0)
+    t = RANK_RTOL * max(norms, default=0.0)
     at: dict[int, list[int]] = {}  # the patches through each point, in list order
     for k, s in enumerate(supports):
         for i in s:
             at.setdefault(i, []).append(k)
-    g: dict[int, complex] = {}
-    left = set(range(len(patches)))
-    if left:  # the largest patch is placed as given, then read like the others
-        top = int(np.argmax(norms))
-        g.update(zip(supports[top], values[top]))
-    queue = sorted({q for i in g for q in at[i]})
-    for k in queue:  # a FIFO queue: the loop reads what placing points appends
-        if k not in left:
+    best: tuple[dict[int, complex], set[int]] = ({}, set())
+    seen: set[int] = set()  # the patches some walk has aligned
+    for seed in sorted(range(len(patches)), key=lambda k: -norms[k]):  # ties in list order
+        if seed in seen:
             continue
-        s, v = supports[k], values[k]
-        on = [a for a in range(3) if s[a] in g]
-        u, ready = 1.0, bool(on)  # a zero patch needs one placed point
-        if norms[k] > thresh:
-            pairs = combinations(on, 2)
-            overlap = sum((g[s[a]] - g[s[b]]) * (v[a] - v[b]).conjugate() for a, b in pairs)
-            u = overlap / abs(overlap) if overlap else 1.0
-            ready = len(on) == 3 or abs(overlap) > thresh**2
-        if not ready:
-            continue
-        w = [u * x for x in v]
-        c = sum(g[s[a]] - w[a] for a in on) / len(on)
-        miss, a = max((abs(g[s[a]] - w[a] - c), a) for a in on)
-        if miss > thresh:
-            raise InconsistentDataError(
-                f"patch {k} on {s} misses placed point {s[a]} by {miss:.3e} "
-                f"> STITCH_RTOL * largest patch norm = {thresh:.3e}"
-            )
-        left.remove(k)
-        new = [a for a in range(3) if s[a] not in g]
-        g.update((s[a], w[a] + c) for a in new)
-        queue.extend(sorted({q for a in new for q in at[s[a]]}))
+        g, aligned = dict(zip(supports[seed], values[seed])), {seed}
+        queue = sorted({q for i in g for q in at[i]})
+        for k in queue:  # a FIFO queue: the loop reads what placing points appends
+            if k in aligned:
+                continue
+            s, v = supports[k], values[k]
+            on = [a for a in range(3) if s[a] in g]
+            u, ready = 1.0, bool(on)  # a zero patch needs one placed point
+            if norms[k] > t:
+                pairs = combinations(on, 2)
+                overlap = sum((g[s[a]] - g[s[b]]) * (v[a] - v[b]).conjugate() for a, b in pairs)
+                u = overlap / abs(overlap) if overlap else 1.0
+                ready = len(on) == 3 or abs(overlap) > t * t
+            if ready:
+                aligned.add(k)
+                c = sum(g[s[a]] - u * v[a] for a in on) / len(on)
+                new = [a for a in range(3) if s[a] not in g]
+                g.update((s[a], u * v[a] + c) for a in new)
+                queue.extend(sorted({q for a in new for q in at[s[a]]}))
+        seen |= aligned
+        best = max(best, (g, aligned), key=lambda w: len(w[0]))  # the first of the most
+        if len(g) == n:
+            break
+    g, aligned = best
+    rows = sorted(aligned)  # the patches with all three points placed
+    X = np.array([[g[i] for i in supports[k]] for k in rows], complex).reshape(-1, 3)
+    V = np.array([values[k] for k in rows], complex).reshape(-1, 3)
+    X -= X.mean(axis=1, keepdims=True)  # Q_s f, turned by its best unit phase (1 if none)
+    X *= np.exp(1j * np.angle(np.einsum("ij,ij->i", X.conj(), V)))[:, None]
+    recovery._check_forward_residual(X.ravel(), V.ravel())
     if len(g) < n:
-        raise ValueError(
-            f"patch family is disconnected: points {sorted(set(range(n)) - g.keys())} cannot "
-            "be placed from the largest patch" + (f", patches {sorted(left)} not aligned" if left else "")
-        )
+        left = sorted(set(range(len(patches))) - aligned)
+        raise ValueError(f"patch family is disconnected: points {sorted(set(range(n)) - g.keys())} "
+                         "cannot be placed" + (f", patches {left} not aligned" if left else ""))
     f = np.array([g[i] for i in range(n)], dtype=complex)
     return f - f.mean()
 

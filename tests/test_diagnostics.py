@@ -64,6 +64,23 @@ def test_complement_property_exhaustive_agrees_with_shortcut():
     assert complement_property(V, exhaustive=True)[0] is False
 
 
+def test_complement_property_fails_on_two_hyperplanes():
+    # five vectors from each of two random hyperplanes of C^4: the closure of three
+    # independent vectors of one holds that hyperplane's five, and its complement the other's
+    rng = np.random.default_rng(26)
+    d = 4
+    V = []
+    for _ in range(2):
+        N = rng.normal(size=(d, d - 1)) + 1j * rng.normal(size=(d, d - 1))
+        V.extend((N @ (rng.normal(size=(d - 1, 5)) + 1j * rng.normal(size=(d - 1, 5)))).T)
+    V = np.array(V)[rng.permutation(10)]
+    holds, witness = complement_property(V)
+    assert not holds
+    assert complement_property(V, exhaustive=True) == (holds, witness)
+    comp = sorted(set(range(10)) - set(witness))
+    assert np.linalg.matrix_rank(V[list(witness)]) < d and np.linalg.matrix_rank(V[comp]) < d
+
+
 def test_full_spark():
     V = RNG.normal(size=(6, 3)) + 1j * RNG.normal(size=(6, 3))
     assert full_spark(V)
@@ -236,6 +253,16 @@ def test_conjugate_phase_reconstruct_rejects_negative_moduli():
         conjugate_phase_reconstruct(D)
 
 
+def test_conjugate_phase_reconstruct_rejects_asymmetric_moduli():
+    # D[0, 1] scaled by 1 + 5e-7 differs from D[1, 0] by far more than
+    # CONJUGATE_PR_RTOL * max(max D, 1), and no relative term forgives it
+    f = rand_zero_sum(6)
+    D = np.abs(f[:, None] - f[None, :])
+    D[0, 1] *= 1 + 5e-7
+    with pytest.raises(ValueError, match="symmetric with zero diagonal"):
+        conjugate_phase_reconstruct(D)
+
+
 # ---------------------------------------------------------------------------
 # counterexamples and stitching
 
@@ -341,15 +368,65 @@ def test_phase_propagation_stitch_places_through_a_zero_patch():
     assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
 
 
-def test_phase_propagation_stitch_names_the_missed_point():
+def test_phase_propagation_stitch_rejects_a_missed_point_by_the_forward_residual():
     # (0, 1, 2) is the largest patch and (1, 2, 3) places point 3, so the last patch has all
     # three points placed before it is read, and disagrees there
     f = np.array([5.0, -5.0, 1.0, 0.0]) + 0j
     patches = random_phase_patches(f, [(0, 1, 2), (1, 2, 3)])
     patches.append(PatchData((0, 1, 3), zero_sum_projection(f, (0, 1, 3)) + [1e-3, 0, -1e-3]))
-    with pytest.raises(InconsistentDataError, match=r"patch 2 on \(0, 1, 3\) misses placed point "
-                       r".* > STITCH_RTOL \* largest patch norm"):
+    with pytest.raises(InconsistentDataError, match="^measurements inconsistent: .* forward "
+                                                    "residual .* > RANK_ONE_RTOL"):
         phase_propagation_stitch(patches, 4)
+
+
+def noisy_patches(f, supports, rng, noise):
+    """Each patch with complex Gaussian noise of relative norm ``noise``, then turned."""
+    out = []
+    for q in random_phase_patches(f, supports):
+        e = rng.normal(size=3) + 1j * rng.normal(size=3)
+        e *= noise * np.linalg.norm(q.values) / np.linalg.norm(e)
+        out.append(PatchData(q.support, q.values + e))
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("family", ["chain", "complete"])
+def test_phase_propagation_stitch_of_noisy_patches(family, n):
+    # 1e-7 relative noise leaves a forward residual below RANK_ONE_RTOL
+    rng = np.random.default_rng(n)
+    supports = ([(i, i + 1, i + 2) for i in range(n - 2)] if family == "chain"
+                else list(combinations(range(n), 3)))
+    for _ in range(5):
+        f = rand_zero_sum(n)
+        g = phase_propagation_stitch(noisy_patches(f, supports, rng, 1e-7), n)
+        assert phase_distance(g, f) <= 1e-5 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("change", [lambda v: (1 + 1e-3) * v,
+                                    lambda v: v + 1e-3 * np.linalg.norm(v)],
+                         ids=["scaled", "off-zero-sum"])
+def test_phase_propagation_stitch_rejects_a_changed_patch_by_the_forward_residual(change):
+    n = 32
+    f = rand_zero_sum(n)
+    patches = random_phase_patches(f, [(i, i + 1, i + 2) for i in range(n - 2)])
+    patches[10] = PatchData(patches[10].support, change(patches[10].values))
+    with pytest.raises(InconsistentDataError, match="^measurements inconsistent: .* forward "
+                                                    "residual .* > RANK_ONE_RTOL"):
+        phase_propagation_stitch(patches, n)
+
+
+def test_phase_propagation_stitch_starts_again_from_an_unaligned_patch():
+    # the largest patch (0, 3, 6) shares no pair with the chain, so the walk from it places
+    # only its own points; the walk from the largest chain patch places all seven, and
+    # aligns (0, 3, 6) once its three points are placed
+    n = 7
+    f = rand_zero_sum(n)
+    f[[0, 3, 6]] *= 10
+    supports = [(i, i + 1, i + 2) for i in range(n - 2)] + [(0, 3, 6)]
+    patches = random_phase_patches(f, supports)
+    assert np.argmax([np.linalg.norm(q.values) for q in patches]) == n - 2
+    g = phase_propagation_stitch(patches, n)
+    assert phase_distance(g, f - f.mean()) <= 1e-12 * np.linalg.norm(f)
 
 
 def test_phase_propagation_stitch_time_does_not_depend_on_the_listing_order():
