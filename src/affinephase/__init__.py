@@ -31,14 +31,12 @@ from .heisenberg import (
     h_recover,
 )
 from .diagnostics import (
-    PatchData,
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
     full_spark,
     is_k_transitive,
     pauli_pair_family,
-    phase_propagation_stitch,
     projection_phase_retrieval,
     three_transitive_phase_retrieval,
     verify_counterexample_n3,

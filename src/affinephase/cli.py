@@ -6,8 +6,6 @@ File formats:
              "values": [[[re, im], ...], ...]}
   * measurements: {"p": P, "order": "l-outer-k-inner", "values": [...]};
     the order tag is mandatory and must match the canonical enumeration.
-  * stitch patches: {"n": N, "patches": [{"support": [i, j, k], "values": [...]}, ...]}
-    with integers n in 1..MAX_SIZE and i, j, k.
 Each values list holds all [re, im] pairs or all plain numbers (real data such as
 moduli); a list that mixes the two, or a number outside double range, exits 2.
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import diagnostics, group_fourier, heisenberg, recovery
 from .affine import ENUMERATION_ORDER_TAG
-from .errors import MAX_SIZE, InconsistentDataError
+from .errors import InconsistentDataError
 from .primefield import validate_prime
 
 EXIT_OK = 0
@@ -257,7 +255,7 @@ def _cmd_recover_vector(args) -> int:
 #: each action of a subcommand and the options it cannot run without
 _NEEDS = {"heisenberg": {"check": (), "forward": ("matrix",), "recover": ("measurements",)},
           "diagnostics": {"complement": ("vectors",), "full-spark": ("vectors",),
-                          "conj-pr": ("moduli",), "stitch": ("patches",),
+                          "conj-pr": ("moduli",),
                           "pauli": ("p", "f", "g"), "projection-pr": ("p", "moduli")}}
 
 
@@ -307,21 +305,6 @@ def _cmd_diagnostics(args) -> int:
     elif kind == "conj-pr":
         f = diagnostics.conjugate_phase_reconstruct(_read_matrix(args.moduli, real=True))
         out = _vector_doc(f, range(len(f)))
-    elif kind == "stitch":
-        doc = _load_json(args.patches)
-        if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("patches"), list):
-            raise ValueError(f"{args.patches}: expected fields 'n' and 'patches' (a list)")
-        n = doc["n"]
-        if type(n) is not int or not 1 <= n <= MAX_SIZE:
-            raise ValueError(f"{args.patches}: n must be an integer in 1..{MAX_SIZE}, got {n!r}")
-        patches = []
-        for k, q in enumerate(doc["patches"]):
-            where = f"{args.patches} patches[{k}]"
-            if not isinstance(q, dict) or not isinstance(q.get("support"), list) or "values" not in q:
-                raise ValueError(f"{where}: expected an object with a 'support' list and 'values', got {q!r}")
-            patches.append(diagnostics.PatchData(tuple(q["support"]),
-                                                 _complex_array(q["values"], f"{where} values", 1)))
-        out = _vector_doc(diagnostics.phase_propagation_stitch(patches, n), range(n))
     elif kind == "pauli":
         p = validate_prime(args.p)
         f, g = _read_vector(args.f, range(p)), _read_vector(args.g, range(p))
@@ -419,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("kind", choices=list(_NEEDS["diagnostics"]))
     s.add_argument("--vectors")
     s.add_argument("--moduli")
-    s.add_argument("--patches")
     s.add_argument("--p", type=int)
     s.add_argument("--f")
     s.add_argument("--g")

@@ -6,9 +6,7 @@ Contents:
     and conjugate-phase reconstruction from two columns of the planar Gram matrix;
   * the dimension-3 counterexample verifier for the extended generator
     delta_k0 - delta_l0 + n^{-1/2} * 1;
-  * phase propagation: stitching locally known 3-point patches into a
-    globally phase-consistent vector, and closed-form phase retrieval for
-    3-fold transitive permutation actions;
+  * closed-form phase retrieval for 3-fold transitive permutation actions;
   * Pauli-pair and frequency-deletion (Fourier projection) harnesses that
     reduce to the affine matrix-recovery pipeline.
 
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import hypot, perm
+from math import comb, perm
 
 import numpy as np
 
@@ -114,8 +112,6 @@ def full_spark(vectors) -> bool:
     d = _rank(V, scale)
     if d == 0:
         return False
-    from math import comb
-
     if comb(n, d) > MAX_SPARK_SUBSETS:
         raise ValueError(f"C({n},{d}) subsets exceed the desk-scale limit")
     for subset in combinations(range(n), d):
@@ -124,16 +120,23 @@ def full_spark(vectors) -> bool:
     return True
 
 
-def _permutation_rows(perms, n: int) -> np.ndarray:
-    """``perms`` as an (N, n) integer array, checked by one sort against
-    0..n-1; the ValueError names the first row that is not a permutation."""
+def _permutation_rows(perms, n: int | None = None) -> np.ndarray:
+    """``perms`` as an (N, n) integer array, n by default the size of the first row, checked
+    by one sort against 0..n-1; the ValueError names the first row that is not a sequence
+    (as in a flat ``perms``) or not a permutation."""
     rows = perms if isinstance(perms, np.ndarray) else list(perms)
+    if n is None:
+        n = np.size(rows[0]) if len(rows) else 0
     try:
-        H = np.asarray(rows).reshape(len(rows), n)
-        ok = H.dtype.kind in "biuf" and bool(np.all(np.sort(H, axis=1) == np.arange(n)))
+        H = np.asarray(rows)
+        ok = H.dtype.kind in "biuf" and (H.ndim == 2 or H.size == 0)
+        H = H.reshape(len(rows), n)
+        ok = ok and bool(np.all(np.sort(H, axis=1) == np.arange(n)))
     except ValueError:  # ragged rows, or rows of another length
         ok = False
     for i, h in enumerate([] if ok else rows):
+        if np.ndim(h) != 1:
+            raise ValueError(f"perms must be a list of permutation rows, but row {i} is {h}")
         if sorted(h) != list(range(n)):
             raise ValueError(f"row {i} is not a permutation of 0..{n - 1}: {tuple(h)}")
     return H.astype(np.int64)
@@ -161,6 +164,8 @@ def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...],
     permutations: the value at h is f(h(k0)) - f(h(l0)).  The list must cover every ordered
     pair of distinct points as some (h(k0), h(l0)), which one bincount checks."""
     f = require_finite("f", f)
+    if f.ndim != 1:
+        raise ValueError(f"f must be a vector, got shape {f.shape}")
     n = len(f)
     if not (0 <= k0 < n and 0 <= l0 < n) or k0 == l0:
         raise ValueError("k0, l0 must be distinct indices in {0..n-1}")
@@ -304,107 +309,6 @@ def verify_counterexample_n3() -> CounterexampleReport:
 
 
 # ---------------------------------------------------------------------------
-# phase propagation over 3-point patches
-
-
-@dataclass(frozen=True)
-class PatchData:
-    """A 3-point patch: the zero-sum projection of the unknown vector onto a
-    3-element support, known up to a unit scalar."""
-
-    support: tuple[int, int, int]
-    values: np.ndarray
-
-    def __post_init__(self):
-        s = self.support
-        if len(s) != 3 or len(set(s)) != 3 or not all(isinstance(i, (int, np.integer)) for i in s):
-            raise ValueError(f"patch support must consist of 3 distinct integer indices, got {s}")
-        v = require_finite("patch values", self.values)
-        if v.shape != (3,):
-            raise ValueError("patch carries exactly 3 values")
-        object.__setattr__(self, "values", v)
-
-
-def zero_sum_projection(f, support) -> np.ndarray:
-    """Q_A f: restrict f to the support and subtract the local mean."""
-    f = np.asarray(f, dtype=complex)
-    vals = f[list(support)]
-    return vals - vals.mean()
-
-
-def phase_propagation_stitch(patches, n: int) -> np.ndarray:
-    """Assemble a zero-sum vector (up to one global unit scalar) from 3-point
-    patches each known up to its own unit scalar, by placing values.
-
-    A walk places its seed patch as given.  A patch v whose overlap
-    sum (f(i) - f(j)) conj(v(i) - v(j)) over its placed pairs is nonzero, or whose
-    points are all placed, is rotated by the overlap's phase and shifted by its mean
-    offset on its placed points; its other points are then written.  With
-    t = RANK_RTOL * the largest patch norm, a patch of norm <= t is zero and needs one
-    placed point, and an overlap of at most t^2 gives no phase.  Placing points queues
-    their patches (FIFO, in list order), as only that can make a patch ready.  The first
-    walk starts from the largest patch; while points stay unplaced, the next starts from
-    the largest patch that no walk has aligned.  The walk that places the most points
-    (the first that places all of them) is judged: InconsistentDataError if the patches v_s
-    on its placed points leave a forward residual > RANK_ONE_RTOL against Q_s f, each
-    turned by its best unit phase; then ValueError ("disconnected") if a point stays unplaced.
-    Returns the placed vector, centred."""
-    patches = list(patches)
-    supports = [tuple(map(int, q.support)) for q in patches]
-    for s in supports:
-        if not all(0 <= i < n for i in s):
-            raise ValueError(f"patch support {s} outside 0..{n - 1}")
-    values = [q.values.tolist() for q in patches]
-    norms = [hypot(*map(abs, v)) for v in values]
-    t = RANK_RTOL * max(norms, default=0.0)
-    at: dict[int, list[int]] = {}  # the patches through each point, in list order
-    for k, s in enumerate(supports):
-        for i in s:
-            at.setdefault(i, []).append(k)
-    best: tuple[dict[int, complex], set[int]] = ({}, set())
-    seen: set[int] = set()  # the patches some walk has aligned
-    for seed in sorted(range(len(patches)), key=lambda k: -norms[k]):  # ties in list order
-        if seed in seen:
-            continue
-        g, aligned = dict(zip(supports[seed], values[seed])), {seed}
-        queue = sorted({q for i in g for q in at[i]})
-        for k in queue:  # a FIFO queue: the loop reads what placing points appends
-            if k in aligned:
-                continue
-            s, v = supports[k], values[k]
-            on = [a for a in range(3) if s[a] in g]
-            u, ready = 1.0, bool(on)  # a zero patch needs one placed point
-            if norms[k] > t:
-                pairs = combinations(on, 2)
-                overlap = sum((g[s[a]] - g[s[b]]) * (v[a] - v[b]).conjugate() for a, b in pairs)
-                u = overlap / abs(overlap) if overlap else 1.0
-                ready = len(on) == 3 or abs(overlap) > t * t
-            if ready:
-                aligned.add(k)
-                c = sum(g[s[a]] - u * v[a] for a in on) / len(on)
-                new = [a for a in range(3) if s[a] not in g]
-                g.update((s[a], u * v[a] + c) for a in new)
-                queue.extend(sorted({q for a in new for q in at[s[a]]}))
-        seen |= aligned
-        best = max(best, (g, aligned), key=lambda w: len(w[0]))  # the first of the most
-        if len(g) == n:
-            break
-    g, aligned = best
-    rows = sorted(aligned)  # the patches with all three points placed
-    X = np.array([[g[i] for i in supports[k]] for k in rows], complex).reshape(-1, 3)
-    V = np.array([values[k] for k in rows], complex).reshape(-1, 3)
-    X -= X.mean(axis=1, keepdims=True)  # Q_s f, turned by its best unit phase (1 if none)
-    X *= np.exp(1j * np.angle(np.einsum("ij,ij->i", X.conj(), V)))[:, None]
-    recovery._check_forward_residual(X.ravel(), V.ravel())
-    if len(g) < n:
-        left = sorted(set(range(len(patches))) - aligned)
-        raise ValueError(f"patch family is disconnected: points {sorted(set(range(n)) - g.keys())} "
-                         "cannot be placed" + (f", patches {left} not aligned" if left else ""))
-    f = np.array([g[i] for i in range(n)], dtype=complex)
-    return f - f.mean()
-
-
-# ---------------------------------------------------------------------------
 # phase retrieval for 3-fold transitive permutation actions
 
 def _pair_sum_coefficients(psi0: np.ndarray, n: int):
@@ -442,19 +346,18 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     and S(u, v) with S(v, u) the rest.  f is read off as in recover_vector;
     InconsistentDataError if its forward residual > RANK_ONE_RTOL.
     """
-    perms = perms if isinstance(perms, np.ndarray) else list(perms)
-    if len(perms) == 0:
+    H = _permutation_rows(perms)
+    if len(H) == 0:
         raise ValueError("empty permutation list")
-    n = len(perms[0])
+    n = H.shape[1]
     if n < 3:
         raise ValueError(f"3-transitive retrieval needs permutations of at least 3 points, got {n}")
     y = np.asarray(measurements, dtype=float)
     require_finite("measurements", y)
-    if y.shape != (len(perms),):
+    if y.shape != (len(H),):
         raise ValueError("need one nonnegative magnitude per permutation")
     if (y < 0).any():
         raise ValueError(f"magnitude {int(np.argmax(y < 0))} is negative; need nonnegative ones")
-    H = _permutation_rows(perms, n)
     code = H[:, :3] @ (n * n, n, 1)
     count = np.bincount(code, minlength=n**3) if len(H) >= perm(n, 3) else None
     if count is None or np.count_nonzero(count) < perm(n, 3):

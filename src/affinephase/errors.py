@@ -9,17 +9,13 @@ import numpy as np
 
 #: The one "numerically zero" tolerance: singular values below RANK_RTOL * sigma_max do not
 #: count towards a rank, nor do those of B_phi below RANK_RTOL * ||phi||^2 (noise has rank 0);
-#: |c_phi|, |A_phi| <= this * ||phi||^2 and 3-transitive divisors <= this * n^2 ||psi0||^2 vanish;
-#: with t = this * the largest stitch patch norm, a patch of norm <= t is zero and an overlap of
-#: at most t^2 on its placed pairs gives no phase.
+#: |c_phi|, |A_phi| <= this * ||phi||^2 and 3-transitive divisors <= this * n^2 ||psi0||^2 vanish.
 RANK_RTOL = 1e-10
 
-#: The one consistency test of the four retrievals, the forward residual: phase retrieval
+#: The one consistency test of the three retrievals, the forward residual: phase retrieval
 #: rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||, the
-#: 3-transitive pipeline magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||,
-#: conjugate phase retrieval moduli D if || |f(k) - f(l)|^2 - D^2 || > this * ||D^2||, and the
-#: stitch patches v_s on placed points if || Q_s f u_s - v_s || > this * ||v||, all patches
-#: raveled into one record, with u_s the unit phase of <Q_s f, v_s> (1 if it is 0).
+#: 3-transitive pipeline magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||, and
+#: conjugate phase retrieval moduli D if || |f(k) - f(l)|^2 - D^2 || > this * ||D^2||.
 RANK_ONE_RTOL = 1e-6
 
 #: Conjugate phase retrieval: the moduli matrix must be symmetric with zero diagonal to

@@ -11,7 +11,6 @@ import pytest
 import affinephase
 from affinephase import diagnostics, heisenberg, recovery
 from affinephase.cli import _emit, _read_matrix, main
-from affinephase.errors import MAX_SIZE
 from affinephase.recovery import (
     canonical_generator,
     canonical_time_generator,
@@ -454,20 +453,6 @@ def test_output_refuses_a_non_finite_value():
 # every reader, on the paths that only it takes
 
 
-def test_diagnostics_stitch(capsys, tmp_path):
-    n = 5
-    f = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-    f -= f.mean()
-    supports = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)]
-    patches = [{"support": list(s), "values": pairs(np.exp(1j * k) * diagnostics.zero_sum_projection(f, s))}
-               for k, s in enumerate(supports)]
-    path = tmp_path / "patches.json"
-    path.write_text(json.dumps({"n": n, "patches": patches}))
-    code, doc = run(capsys, "diagnostics", "stitch", "--patches", str(path))
-    assert code == 0 and doc["labels"] == list(range(n))
-    assert phase_distance(parse_vector(doc), f) < 1e-10
-
-
 def test_diagnostics_pauli_matches_the_library(capsys, tmp_path):
     p = 5
     f = RNG.normal(size=p) + 1j * RNG.normal(size=p)
@@ -657,19 +642,6 @@ def test_exit_code_2_on_numbers_mixed_with_pairs(capsys, tmp_path):
     assert f"{phi_path} values: mixes plain numbers with [re, im] pairs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "n, support, message",
-    [(3, [0, 1.5, 2], "integer indices"), (3.7, [0, 1, 2], "n must be an integer"),
-     (True, [0, 1, 2], "n must be an integer"), (MAX_SIZE + 1, [0, 1, 2], "n must be an integer")],
-    ids=["support-1.5", "n-3.7", "n-true", "n-above-MAX_SIZE"],
-)
-def test_exit_code_2_on_a_non_integer_stitch_index(capsys, tmp_path, n, support, message):
-    path = tmp_path / "patches.json"
-    path.write_text(json.dumps({"n": n, "patches": [{"support": support, "values": [1, -2, 1]}]}))
-    assert main(["diagnostics", "stitch", "--patches", str(path)]) == 2
-    assert message in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("form", ["pairs", "numbers"])
 def test_forward_output_is_bit_equal_to_the_library(capsys, tmp_path, form):
     # -0.0 and integer entries read to the same doubles as complex(re, im) gives
@@ -694,7 +666,7 @@ def test_forward_output_is_bit_equal_to_the_library(capsys, tmp_path, form):
 
 @pytest.mark.parametrize("kind, given, option", [
     ("complement", [], "vectors"), ("full-spark", [], "vectors"), ("conj-pr", [], "moduli"),
-    ("stitch", [], "patches"), ("pauli", [], "p"), ("pauli", ["--p", "5"], "f"),
+    ("pauli", ["--p", "5", "--f", "f.json"], "g"), ("pauli", [], "p"), ("pauli", ["--p", "5"], "f"),
     ("projection-pr", [], "p"), ("projection-pr", ["--p", "5"], "moduli"),
 ])
 def test_exit_code_2_names_a_missing_diagnostics_option(capsys, kind, given, option):
@@ -702,17 +674,12 @@ def test_exit_code_2_names_a_missing_diagnostics_option(capsys, kind, given, opt
     assert capsys.readouterr().err == f"error: diagnostics {kind} requires --{option}\n"
 
 
-def test_exit_code_2_on_a_stitch_point_in_no_patch(capsys, tmp_path):
+def test_the_patch_stitch_is_gone(capsys, tmp_path):
+    # argparse refuses the choice and exits; main does not return
     path = tmp_path / "patches.json"
-    path.write_text(json.dumps({"n": 4, "patches": [{"support": [0, 1, 2], "values": [1, -2, 1]}]}))
-    assert main(["diagnostics", "stitch", "--patches", str(path)]) == 2
-    assert "disconnected: points [3]" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("patch", [{"values": [1, -2, 1]}, 5], ids=["no-support", "not-an-object"])
-def test_exit_code_2_names_a_malformed_stitch_patch(capsys, tmp_path, patch):
-    path = tmp_path / "patches.json"
-    path.write_text(json.dumps({"n": 3, "patches": [{"support": [0, 1, 2], "values": [1, -2, 1]}, patch]}))
-    assert main(["diagnostics", "stitch", "--patches", str(path)]) == 2
-    assert (f"{path} patches[1]: expected an object with a 'support' list and 'values', got {patch!r}"
-            in capsys.readouterr().err)
+    path.write_text(json.dumps({"n": 3, "patches": [{"support": [0, 1, 2], "values": [1, -2, 1]}]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["diagnostics", "stitch", "--patches", str(path)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'stitch'" in capsys.readouterr().err
+    assert not hasattr(affinephase, "phase_propagation_stitch")

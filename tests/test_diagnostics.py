@@ -1,12 +1,10 @@
 import re
-import time
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from affinephase.diagnostics import (
-    PatchData,
     _affine_coefficients,
     _pair_sum_coefficients,
     complement_property,
@@ -16,12 +14,10 @@ from affinephase.diagnostics import (
     full_spark,
     is_k_transitive,
     pauli_pair_family,
-    phase_propagation_stitch,
     projection_phase_retrieval,
     recover_from_projection_moduli,
     three_transitive_phase_retrieval,
     verify_counterexample_n3,
-    zero_sum_projection,
 )
 from affinephase.errors import InadmissibleGeneratorError, InconsistentDataError
 from affinephase.recovery import canonical_phase, canonical_time_generator, phase_distance
@@ -181,6 +177,26 @@ def test_difference_coefficients_name_a_missing_pair():
         difference_coefficients(rand_zero_sum(3), 0, 1, rows)
 
 
+FLAT = "perms must be a list of permutation rows, but row 0 is 0$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: difference_coefficients(np.eye(3), 0, 1, list(permutations(range(3)))),
+     re.escape("f must be a vector, got shape (3, 3)")),
+    (lambda: difference_coefficients(np.ones(3), 0, 1, [0, 1, 2]), FLAT),
+    (lambda: difference_coefficients(np.ones(3), 0, 1, np.array([0, 1, 2])), FLAT),
+    (lambda: is_k_transitive([0, 1, 2], 1, 3), FLAT),
+    (lambda: is_k_transitive(np.array([0, 1, 2]), 1, 3), FLAT),
+    (lambda: is_k_transitive([(0, 1, 2), 5], 1, 3), "list of permutation rows, but row 1 is 5$"),
+    (lambda: three_transitive_phase_retrieval(np.ones(3), [0, 1, 2]), FLAT),
+    (lambda: three_transitive_phase_retrieval(np.ones(3), np.array([0, 1, 2])), FLAT),
+], ids=["difference-f-matrix", "difference-flat-list", "difference-flat-array", "k-transitive-flat-list",
+        "k-transitive-flat-array", "k-transitive-int-row", "3-transitive-flat-list", "3-transitive-flat-array"])
+def test_permutation_entry_points_reject_a_misshapen_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # conjugate phase retrieval
 
@@ -264,7 +280,7 @@ def test_conjugate_phase_reconstruct_rejects_asymmetric_moduli():
 
 
 # ---------------------------------------------------------------------------
-# counterexamples and stitching
+# counterexamples
 
 
 def test_counterexample_report():
@@ -275,193 +291,6 @@ def test_counterexample_report():
     assert rep.coincidence_ok and rep.coincidence_max_error < 1e-12
     assert rep.orthogonal_to_y
     assert rep.all_confirmed
-
-
-def test_zero_sum_projection():
-    f = RNG.normal(size=6) + 1j * RNG.normal(size=6)
-    u = zero_sum_projection(f, (1, 3, 4))
-    assert abs(u.sum()) < 1e-12
-    assert abs((u[0] - u[1]) - (f[1] - f[3])) < 1e-13
-
-
-def test_phase_propagation_stitch_round_trip():
-    n = 6
-    f = rand_zero_sum(n)
-    patches = []
-    for i, sup in enumerate([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)]):
-        alpha = np.exp(2j * np.pi * RNG.random())
-        patches.append(PatchData(support=sup, values=alpha * zero_sum_projection(f, sup)))
-    g = phase_propagation_stitch(patches, n)
-    assert phase_distance(g, f) < 1e-10
-
-
-def test_patch_support_must_hold_integers():
-    with pytest.raises(ValueError, match="integer indices"):
-        PatchData(support=(0, 1.5, 2), values=np.zeros(3))
-    assert PatchData(support=(np.int64(0), 1, 2), values=np.zeros(3)).support[0] == 0
-
-
-def test_phase_propagation_stitch_detects_conflict():
-    n = 5
-    f = rand_zero_sum(n)
-    # doubling the second patch rescales its shared pair differences, which
-    # no single unit phase can reconcile
-    patches = [
-        PatchData(support=(0, 1, 2), values=zero_sum_projection(f, (0, 1, 2))),
-        PatchData(support=(1, 2, 3), values=2.0 * zero_sum_projection(f, (1, 2, 3))),
-    ]
-    with pytest.raises(InconsistentDataError):
-        phase_propagation_stitch(patches, n)
-
-
-def test_phase_propagation_stitch_disconnected():
-    n = 7
-    f = rand_zero_sum(n)
-    patches = [
-        PatchData(support=(0, 1, 2), values=zero_sum_projection(f, (0, 1, 2))),
-        PatchData(support=(4, 5, 6), values=zero_sum_projection(f, (4, 5, 6))),
-    ]
-    with pytest.raises(ValueError, match="disconnected"):
-        phase_propagation_stitch(patches, n)
-
-
-def random_phase_patches(f, supports):
-    return [PatchData(s, np.exp(2j * np.pi * RNG.random()) * zero_sum_projection(f, s))
-            for s in supports]
-
-
-def test_phase_propagation_stitch_complete_family_without_least_squares(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the stitch places values; it solves no least-squares system")
-
-    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-    n = 32
-    f = rand_zero_sum(n)
-    g = phase_propagation_stitch(random_phase_patches(f, combinations(range(n), 3)), n)
-    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
-
-
-def test_phase_propagation_stitch_random_connected_families():
-    # a chain of triples through a random order of the points, each sharing a pair with the
-    # next, makes the family connected; so does each extra triple, which holds two neighbours
-    # of that order and one random other point, and a shuffle varies the order of placement
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(3, 25))
-        order = rng.permutation(n).tolist()
-        supports = [tuple(order[i:i + 3]) for i in range(n - 2)]
-        for i in rng.integers(0, n - 1, int(rng.integers(0, 2 * n))).tolist():
-            other = rng.choice([j for j in range(n) if j not in order[i:i + 2]])
-            supports.append((order[i], order[i + 1], int(other)))
-        supports = [supports[i] for i in rng.permutation(len(supports))]
-        f = rand_zero_sum(n)
-        g = phase_propagation_stitch(random_phase_patches(f, supports), n)
-        assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f), (n, supports)
-
-
-def test_phase_propagation_stitch_places_through_a_zero_patch():
-    # f is constant on {3, 4, 5}: the zero patch there needs only its placed point 3
-    f = np.array([1.0, -2.0, 3.0j, 0.5, 0.5, 0.5]) + 0j
-    f -= f.mean()
-    supports = [(3, 4, 5), (0, 1, 2), (1, 2, 3)]
-    g = phase_propagation_stitch(random_phase_patches(f, supports), 6)
-    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
-
-
-def test_phase_propagation_stitch_rejects_a_missed_point_by_the_forward_residual():
-    # (0, 1, 2) is the largest patch and (1, 2, 3) places point 3, so the last patch has all
-    # three points placed before it is read, and disagrees there
-    f = np.array([5.0, -5.0, 1.0, 0.0]) + 0j
-    patches = random_phase_patches(f, [(0, 1, 2), (1, 2, 3)])
-    patches.append(PatchData((0, 1, 3), zero_sum_projection(f, (0, 1, 3)) + [1e-3, 0, -1e-3]))
-    with pytest.raises(InconsistentDataError, match="^measurements inconsistent: .* forward "
-                                                    "residual .* > RANK_ONE_RTOL"):
-        phase_propagation_stitch(patches, 4)
-
-
-def noisy_patches(f, supports, rng, noise):
-    """Each patch with complex Gaussian noise of relative norm ``noise``, then turned."""
-    out = []
-    for q in random_phase_patches(f, supports):
-        e = rng.normal(size=3) + 1j * rng.normal(size=3)
-        e *= noise * np.linalg.norm(q.values) / np.linalg.norm(e)
-        out.append(PatchData(q.support, q.values + e))
-    return out
-
-
-@pytest.mark.parametrize("n", [8, 32])
-@pytest.mark.parametrize("family", ["chain", "complete"])
-def test_phase_propagation_stitch_of_noisy_patches(family, n):
-    # 1e-7 relative noise leaves a forward residual below RANK_ONE_RTOL
-    rng = np.random.default_rng(n)
-    supports = ([(i, i + 1, i + 2) for i in range(n - 2)] if family == "chain"
-                else list(combinations(range(n), 3)))
-    for _ in range(5):
-        f = rand_zero_sum(n)
-        g = phase_propagation_stitch(noisy_patches(f, supports, rng, 1e-7), n)
-        assert phase_distance(g, f) <= 1e-5 * np.linalg.norm(f)
-
-
-@pytest.mark.parametrize("change", [lambda v: (1 + 1e-3) * v,
-                                    lambda v: v + 1e-3 * np.linalg.norm(v)],
-                         ids=["scaled", "off-zero-sum"])
-def test_phase_propagation_stitch_rejects_a_changed_patch_by_the_forward_residual(change):
-    n = 32
-    f = rand_zero_sum(n)
-    patches = random_phase_patches(f, [(i, i + 1, i + 2) for i in range(n - 2)])
-    patches[10] = PatchData(patches[10].support, change(patches[10].values))
-    with pytest.raises(InconsistentDataError, match="^measurements inconsistent: .* forward "
-                                                    "residual .* > RANK_ONE_RTOL"):
-        phase_propagation_stitch(patches, n)
-
-
-def test_phase_propagation_stitch_starts_again_from_an_unaligned_patch():
-    # the largest patch (0, 3, 6) shares no pair with the chain, so the walk from it places
-    # only its own points; the walk from the largest chain patch places all seven, and
-    # aligns (0, 3, 6) once its three points are placed
-    n = 7
-    f = rand_zero_sum(n)
-    f[[0, 3, 6]] *= 10
-    supports = [(i, i + 1, i + 2) for i in range(n - 2)] + [(0, 3, 6)]
-    patches = random_phase_patches(f, supports)
-    assert np.argmax([np.linalg.norm(q.values) for q in patches]) == n - 2
-    g = phase_propagation_stitch(patches, n)
-    assert phase_distance(g, f - f.mean()) <= 1e-12 * np.linalg.norm(f)
-
-
-def test_phase_propagation_stitch_time_does_not_depend_on_the_listing_order():
-    # a chain of 2,000 patches whose largest sits at its start: listed from the far end, each
-    # patch waits for the one after it in the list, which a rescan of the waiting list after
-    # every sweep would turn into E^2 / 2 readings
-    n = 2002
-    f = rand_zero_sum(n)
-    f[0] += 100.0
-    f -= f.mean()
-    chain = random_phase_patches(f, [(i, i + 1, i + 2) for i in range(n - 2)])
-
-    def best_of_3(patches):
-        seconds = []
-        for _ in range(3):
-            start = time.perf_counter()
-            g = phase_propagation_stitch(patches, n)
-            seconds.append(time.perf_counter() - start)
-        assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
-        return min(seconds)
-
-    assert best_of_3(chain[:1] + chain[:0:-1]) <= 5 * best_of_3(chain)
-
-
-@pytest.mark.parametrize("n, supports, zero", [
-    (7, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], ()),  # point 6 is in no patch
-    (6, [(0, 1, 2), (3, 4, 5)], (1,)),  # a zero patch in its own component
-    (3, [], ()),  # no patches at all
-    (5, [(0, 1, 2)], (0,)),  # an all-zero family that leaves points 3 and 4 open
-], ids=["point-in-no-patch", "zero-patch-alone", "empty", "all-zero"])
-def test_phase_propagation_stitch_rejects_a_family_that_does_not_determine_f(n, supports, zero):
-    patches = random_phase_patches(rand_zero_sum(n), supports)
-    patches = [PatchData(q.support, 0 * q.values) if k in zero else q for k, q in enumerate(patches)]
-    with pytest.raises(ValueError, match="disconnected: points"):
-        phase_propagation_stitch(patches, n)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +443,13 @@ def test_three_transitive_rejects_patches_that_disagree_in_scale():
         three_transitive_phase_retrieval(meas, S5)
 
 
-def test_three_transitive_uses_neither_transitivity_nor_stitch(monkeypatch):
+def test_three_transitive_uses_neither_transitivity_nor_a_solver(monkeypatch):
     from affinephase import diagnostics
 
     def forbidden(*args, **kwargs):
         raise AssertionError("not on the 3-transitive path")
 
-    for name in ("is_k_transitive", "phase_propagation_stitch"):
-        monkeypatch.setattr(diagnostics, name, forbidden)
+    monkeypatch.setattr(diagnostics, "is_k_transitive", forbidden)
     for name in ("recover_vector", "recover_matrix"):
         monkeypatch.setattr(diagnostics.recovery, name, forbidden)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
@@ -747,8 +575,6 @@ NON_FINITE_CALLS = {
     "full_spark": ("vectors", lambda: full_spark(_with(np.eye(3), (1, 2), np.inf))),
     "complement_property": (
         "vectors", lambda: complement_property(_with(np.eye(3), (0, 0), np.nan))),
-    "phase_propagation_stitch": ("patch values", lambda: phase_propagation_stitch(
-        [PatchData((0, 1, 2), _with(np.zeros(3), 1, np.nan))], 3)),
     "difference_coefficients": ("f", lambda: difference_coefficients(
         _with(rand_zero_sum(3), 1, np.nan), 0, 1, list(permutations(range(3))))),
     "frequency_deleted_moduli": ("f", lambda: frequency_deleted_moduli(
