@@ -29,15 +29,12 @@ ENUMERATION_ORDER_TAG = "l-outer-k-inner"
 
 @dataclass(frozen=True)
 class IndexTables:
-    """The index maps of the kernels on Z_p x| Z_p*, fixed by p alone: read-only
-    intp arrays, the (p-1)x(p-1) ones gathers from a flat array."""
+    """The index maps of the kernels on Z_p x| Z_p*, fixed by p alone: read-only (p-1)x(p-1)
+    intp arrays, one per map; a map's inverse scatters through the table it gathers with."""
 
     dilation: np.ndarray  # [l-1, m-1] = (lm mod p) - 1, where pi_hat0(k,l) row m-1 is nonzero
-    s: np.ndarray  # S, from a (p-1)x(p-1) matrix
-    s_inverse: np.ndarray  # S*, from a (p-1)x(p-1) matrix
-    pi_hat0: np.ndarray  # pi_hat0(F), from the (p-1) x p FFTs over k (row l-1, column m)
-    pi_hat0_support: np.ndarray  # [l-1, m-1]: the entry (m-1, dilation[l-1, m-1])
-    omega1: np.ndarray  # [n-1] = n^-1 - 1, the column of label 1 + n^-1 (p-2 entries)
+    s_inverse: np.ndarray  # S* gathers a (p-1)x(p-1) matrix through it; S scatters through it
+    pi_hat0: np.ndarray  # pi_hat0(F) gathers the (p-1) x p FFTs over k (row l-1, column m)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -49,15 +46,10 @@ def index_tables(p: int) -> IndexTables:
     m = np.arange(1, p)[:, None]
     n = np.arange(1, p)[None, :]
     dilation = (m * n) % p - 1
-    # (SA)(m, 1) = A(-m, -m); (SA)(m, n) = A(m(1-n)^-1, mn(1-n)^-1) for n >= 2
-    rows = m * inv[(1 - n) % p]
-    rows[:, :1] = -m
-    s = (rows % p - 1) * (p - 1) + (rows * n) % p - 1
     # (S*A)(m, m) = A(-m, 1); (S*A)(m, n) = A(m-n, m^-1 n) for m != n
     s_inverse = (np.where(m == n, -m, m - n) % p - 1) * (p - 1) + (inv[m] * n) % p - 1
     # pi_hat0(F)[m-1, n-1] is the FFT at frequency m of row l = m^-1 n
-    tables = IndexTables(dilation, s, s_inverse, dilation[inv[m[:, 0]] - 1] * p + m,
-                         (n - 1) * (p - 1) + dilation, inv[1 : p - 1] - 1)
+    tables = IndexTables(dilation, s_inverse, dilation[inv[m[:, 0]] - 1] * p + m)
     for a in vars(tables).values():
         a.setflags(write=False)
     return tables
@@ -74,11 +66,14 @@ def s_apply(A) -> np.ndarray:
     """Entry-permutation intertwiner S with S rho1 S* = rho2.
 
     (SA)(m, 1) = A(-m, -m); (SA)(m, n) = A(m(1-n)^-1, mn(1-n)^-1) for n >= 2.
-    Like :func:`s_inverse_apply`, it acts on the last two axes of a stack.
+    Like :func:`s_inverse_apply`, it acts on the last two axes of a stack, whose
+    gather it inverts as a scatter into a new C-ordered array.
     """
     p = np.shape(A)[-1] + 1
     A = _check_square(A, p)
-    return np.take(A.reshape(*A.shape[:-2], -1), index_tables(p).s, -1)
+    out = np.empty(A.shape, dtype=complex)
+    out.reshape(*A.shape[:-2], -1)[..., index_tables(p).s_inverse] = A
+    return out
 
 
 def s_inverse_apply(A) -> np.ndarray:

@@ -150,6 +150,8 @@ def is_k_transitive(perms, k: int, n: int) -> bool:
     every column holds M distinct codes.  The columns are coded, sorted and checked
     in blocks, each from a k*N*b gather of at most 2^22 integers (32 MB)."""
     H = _permutation_rows(perms, n)
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
+        raise ValueError(f"k must be an integer in 1..n = 1..{n}, got {k!r}")
     M = perm(n, k)
     if len(H) < M:
         return False
@@ -167,8 +169,8 @@ def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...],
     if f.ndim != 1:
         raise ValueError(f"f must be a vector, got shape {f.shape}")
     n = len(f)
-    if not (0 <= k0 < n and 0 <= l0 < n) or k0 == l0:
-        raise ValueError("k0, l0 must be distinct indices in {0..n-1}")
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in (k0, l0)) or k0 == l0:
+        raise ValueError(f"k0, l0 must be distinct integers in {{0..n-1}}, got {k0!r}, {l0!r}")
     H = _permutation_rows(perms, n)
     covered = np.bincount(H[:, k0] * n + H[:, l0], minlength=n * n).reshape(n, n)
     missing = np.argwhere((covered == 0) & ~np.eye(n, dtype=bool))
@@ -411,10 +413,10 @@ def pauli_pair_family(f, g, psi) -> PauliPairReport:
     coefficient lines F_l = V_psi f(., l) and G_l = V_psi g(., l); they match within
     errors.PAULI_MATCH_RTOL times the largest coefficient modulus."""
     f, g, psi = require_finite("f", f), require_finite("g", g), require_finite("psi", psi)
-    p = len(psi)
+    p = psi.size
+    if not f.shape == g.shape == psi.shape == (p,):
+        raise ValueError(f"f, g and psi must all live on Z_p: shapes {f.shape}, {g.shape}, {psi.shape}")
     validate_prime(p)
-    if f.shape != (p,) or g.shape != (p,):
-        raise ValueError("f, g and psi must all live on Z_p")
     Vf, Vg = (_affine_coefficients(x, psi, p) for x in (f, g))
     scale = max(float(np.max(np.abs(Vf))), float(np.max(np.abs(Vg))), 1e-300)
     t_dev = np.max(np.abs(np.abs(Vf) - np.abs(Vg)), axis=1)
@@ -471,8 +473,9 @@ def projection_phase_retrieval(f) -> np.ndarray:
     """End-to-end check: form {|P_l f|} from a zero-sum f and recover f up to
     phase."""
     f = require_finite("f", f)
-    p = len(f)
-    validate_prime(p)
+    if f.ndim != 1:
+        raise ValueError(f"f must be a vector on Z_p, got shape {f.shape}")
+    p = validate_prime(len(f))
     if abs(f.sum()) > ZERO_SUM_RTOL * max(float(np.linalg.norm(f)), 1e-300):
         raise ValueError("f must have zero sum")
     return recover_from_projection_moduli(frequency_deleted_moduli(f, p), p)

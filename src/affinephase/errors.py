@@ -32,9 +32,9 @@ PAULI_MATCH_RTOL = 1e-10
 
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
-#: is about 0.9 GB at this limit.  Each cached p keeps its index tables, at most
-#: 5 (p-1)^2 + p intp entries or 40 (p-1)^2 + 8p bytes, and its O(p) root_powers:
-#: about 245 MB per p at p = 2477, the largest prime below this limit.  Each cached
+#: is about 0.9 GB at this limit.  Each cached p keeps its three index tables,
+#: 3 (p-1)^2 intp entries or 24 (p-1)^2 bytes, and its O(p) root_powers:
+#: about 147 MB per p at p = 2477, the largest prime below this limit.  Each cached
 #: generator keeps phi, c_phi, B_phi, the left inverse W of B_phi and the step-1
 #: kernel K, 48 (p-1)^2 bytes: ~294 MB at p = 2477.  Checked before any primality test.
 MAX_SIZE = 2500

@@ -44,10 +44,10 @@ def _analysis(F: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _synthesis(per_l: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """The F with sum_k F(k,l) = per_l[l-1] and pi_hat0(F) = M, from one inverse FFT
-    over k per l: the inverse of :func:`_analysis`."""
+    over k per l: the inverse of :func:`_analysis`, whose gather it reads as a scatter."""
     G = np.empty((p - 1, p), dtype=complex)
+    G.reshape(-1)[index_tables(p).pi_hat0] = M
     G[:, 0] = per_l
-    G[:, 1:] = np.take(M, index_tables(p).pi_hat0_support)
     return np.fft.ifft(G, axis=1).reshape(-1)
 
 

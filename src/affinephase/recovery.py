@@ -32,7 +32,7 @@ from .affine import index_tables, s_apply, s_inverse_apply
 from .errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
                      InconsistentDataError, require_finite)
 from .group_fourier import _analysis, _frame_coefficients, _synthesis
-from .primefield import root_powers, validate_prime
+from .primefield import inverse_table, root_powers, validate_prime
 
 
 def _check_phi(phi, p: int) -> tuple[np.ndarray, int]:
@@ -70,9 +70,9 @@ class _GeneratorPlan:
 
     @cached_property
     def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None]:
-        """Both admissibility conditions; W = U sigma^-1 V^H / p from the thin SVD of
-        B_phi that condition (ii) was read from, columns scattered by Omega1, so that
-        A_2' = pi_hat0(F) Omega0^T W (None when the rank is short); and the kernel of step 1,
+        """Both admissibility conditions; W = Omega0^T (B_phi^dagger)^* Omega1 / p from the
+        thin SVD U sigma V^H of B_phi that condition (ii) was read from, so that
+        A_2' = pi_hat0(F) W (None when the rank is short); and the kernel of step 1,
         a_1 = K sum_k F(k, .), K = chi^T diag(1/c) chi / (p(p-1)), whose entry [m-1, l-1]
         is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes)."""
         p, c, B = self.p, self.c, self.B
@@ -86,7 +86,8 @@ class _GeneratorPlan:
                                  admissible=cond_i and cond_ii)
         W = None
         if cond_ii:
-            W = ((U / sv) @ Vh / p)[:, np.argsort(index_tables(p).omega1)]
+            # Omega0^T reverses the rows; Omega1, an involution, gathers the columns
+            W = ((U / sv) @ Vh / p)[::-1, inverse_table(p)[1:-1] - 1]
             W.setflags(write=False)
         K = None
         if cond_i:
@@ -168,7 +169,7 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
     """Measurement map: F(k,l) = <A pi_hat0(k,l) phi, pi_hat0(k,l) phi>.
 
     :func:`recover_matrix` run backwards: with SA = (a_1 | A_2'),
-    pi_hat0(F) = p A_2' Omega1^T B_phi^H Omega0.  Summed over k, the factor
+    pi_hat0(F) = p A_2' (Omega0^T B_phi Omega1)^H.  Summed over k, the factor
     e^{-2 pi i k(n-m)/p} of F(k,l) vanishes unless m = n, so only the diagonal of A
     is left: sum_k F(k,l) = p sum_m |phi(lm)|^2 A(m,m).  Both go to one inverse FFT
     over k per l.  One GEMM and p-1 FFTs of length p: O(p^3) time, O(p^2) memory.
@@ -177,17 +178,16 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
     p, A = plan.p, require_finite("A", A)
     if A.shape != (p - 1, p - 1):
         raise ValueError(f"matrix must be (p-1)x(p-1) = {(p - 1, p - 1)}, got {A.shape}")
-    tables = index_tables(p)
-    per_l = p * ((np.abs(plan.phi) ** 2)[tables.dilation] @ A.diagonal())
-    # Omega1^T is a column gather; right-multiplying by Omega0 reverses the columns
-    M = p * (s_apply(A)[:, 1:][:, tables.omega1] @ plan.B.conj().T)[:, ::-1]
+    per_l = p * ((np.abs(plan.phi) ** 2)[index_tables(p).dilation] @ A.diagonal())
+    # Omega0^T B_phi Omega1: the rows of B_phi reversed, its columns gathered as in W
+    M = p * (s_apply(A)[:, 1:] @ plan.B[::-1, inverse_table(p)[1:-1] - 1].conj().T)
     return _synthesis(per_l, M, p)
 
 
 def _recover_steps(F, phi, p: int):
     """Validate, then steps (1) and (2) from one FFT over k per l (group_fourier's
-    analysis kernel): (p, phi, F, W, a_1, X), where A_2' = X @ W.  Bin 0 holds
-    sum_k F(k,l), which the plan's K takes to a_1; the other bins give pi_hat0(F)."""
+    analysis kernel): (p, phi, F, W, a_1, X) with A_2' = X @ W.  Bin 0 holds
+    sum_k F(k,l), which the plan's K takes to a_1; the other bins give X = pi_hat0(F)."""
     plan = _plan(phi, p)
     p, phi, F = plan.p, plan.phi, require_finite("F", F)
     if F.shape[-1:] != (p * (p - 1),):
@@ -203,9 +203,9 @@ def _recover_steps(F, phi, p: int):
     a1 = (K @ per_l[..., None])[..., 0]
     # step 2: A_2' = p^-1 * pi_hat0(F) * Omega0^T * (B_phi^dagger)^* * Omega1;
     # the prefactor follows from Schur orthogonality of the unnormalized
-    # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  Omega0^T
-    # reverses the columns; the plan's W holds the rest.
-    return p, phi, F, W, a1, M[..., ::-1]
+    # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  The plan's W is the
+    # whole product right of pi_hat0(F), Omega0^T and Omega1 included.
+    return p, phi, F, W, a1, M
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:

@@ -122,6 +122,10 @@ def test_k_transitivity_against_brute_force_oracle():
             lists.append([group[i] for i in rng.choice(len(group), size, replace=replace)])
         for perms in lists:
             for k in range(n + 2):
+                if not 1 <= k <= n:  # refused, not answered by vacuous truth
+                    with pytest.raises(ValueError, match=re.escape(f"an integer in 1..n = 1..{n}")):
+                        is_k_transitive(perms, k, n)
+                    continue
                 expected = brute_force_k_transitive(perms, k, n)
                 assert is_k_transitive(perms, k, n) == expected, (n, k, len(perms))
                 assert is_k_transitive(np.array(perms, dtype=int).reshape(-1, n), k, n) == expected
@@ -193,6 +197,27 @@ FLAT = "perms must be a list of permutation rows, but row 0 is 0$"
 ], ids=["difference-f-matrix", "difference-flat-list", "difference-flat-array", "k-transitive-flat-list",
         "k-transitive-flat-array", "k-transitive-int-row", "3-transitive-flat-list", "3-transitive-flat-array"])
 def test_permutation_entry_points_reject_a_misshapen_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+S3 = list(permutations(range(3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pauli_pair_family(np.ones(5), np.ones(5), np.ones((5, 5))),
+     re.escape("psi must all live on Z_p: shapes (5,), (5,), (5, 5)")),
+    (lambda: projection_phase_retrieval(np.ones((5, 5))),
+     re.escape("f must be a vector on Z_p, got shape (5, 5)")),
+    (lambda: difference_coefficients(np.ones(3), 0.0, 1, S3),
+     re.escape("k0, l0 must be distinct integers in {0..n-1}, got 0.0, 1")),
+    (lambda: difference_coefficients(np.ones(3), 0, np.float64(1), S3), "must be distinct integers"),
+    (lambda: is_k_transitive(S3, 4, 3), re.escape("k must be an integer in 1..n = 1..3, got 4")),
+    (lambda: is_k_transitive(S3, 0, 3), re.escape("k must be an integer in 1..n = 1..3, got 0")),
+    (lambda: is_k_transitive(S3, 1.5, 3), re.escape("k must be an integer in 1..n = 1..3, got 1.5")),
+], ids=["pauli-psi-matrix", "projection-f-matrix", "difference-float-k0", "difference-float-l0",
+        "k-transitive-k-above-n", "k-transitive-k-zero", "k-transitive-float-k"])
+def test_bad_arguments_fail_for_the_right_reason(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
