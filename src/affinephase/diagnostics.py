@@ -149,9 +149,11 @@ def is_k_transitive(perms, k: int, n: int) -> bool:
     array; the list is k-transitive iff after one sort along the permutation axis
     every column holds M distinct codes.  The columns are coded, sorted and checked
     in blocks, each from a k*N*b gather of at most 2^22 integers (32 MB)."""
-    H = _permutation_rows(perms, n)
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
         raise ValueError(f"k must be an integer in 1..n = 1..{n}, got {k!r}")
+    H = _permutation_rows(perms, n)
     M = perm(n, k)
     if len(H) < M:
         return False

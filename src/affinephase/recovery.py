@@ -70,24 +70,37 @@ class _GeneratorPlan:
 
     @cached_property
     def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None]:
-        """Both admissibility conditions; W = Omega0^T (B_phi^dagger)^* Omega1 / p from the
-        thin SVD U sigma V^H of B_phi that condition (ii) was read from, so that
+        """Both admissibility conditions; W = Omega0^T (B_phi^dagger)^* Omega1 / p, so that
         A_2' = pi_hat0(F) W (None when the rank is short); and the kernel of step 1,
         a_1 = K sum_k F(k, .), K = chi^T diag(1/c) chi / (p(p-1)), whose entry [m-1, l-1]
-        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes)."""
+        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes).
+
+        conj(B[::-1]) = B[:, ::-1], so with J the reversal and Q_n = e^{-i pi/4}(I_n + iJ_n)/sqrt 2
+        unitary, Q_{p-1}^H B Q_{p-2} = B_r = Re B + Im B[::-1] is real.  One QR of B_r gives
+        Wr = (B_r^dagger)^T, and sigma_min(B) >= 1/||Wr||_F certifies rank p-2; only when
+        that fails are the singular values of R counted."""
         p, c, B = self.p, self.c, self.B
         scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
         cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
-        U, sv, Vh = np.linalg.svd(B, full_matrices=False)
-        rank = int(np.sum(sv > RANK_RTOL * scale))
+        Qr, R = np.linalg.qr(B.real + B[::-1].imag)
+        try:
+            Wr = np.linalg.solve(R, Qr.T).T
+            certified = 1 / np.linalg.norm(Wr) > RANK_RTOL * scale
+        except np.linalg.LinAlgError:  # R exactly singular
+            certified = False
+        rank = p - 2
+        if not certified:  # sigma_min within a factor sqrt(p-2) of the threshold, or 0
+            rank = int(np.sum(np.linalg.svd(R, compute_uv=False) > RANK_RTOL * scale))
         cond_ii = rank == p - 2
         report = GeneratorReport(p=p, cond_i_values=c, cond_i_holds=cond_i, b_phi=B,
                                  b_phi_rank=rank, cond_ii_holds=cond_ii,
                                  admissible=cond_i and cond_ii)
         W = None
         if cond_ii:
-            # Omega0^T reverses the rows; Omega1, an involution, gathers the columns
-            W = ((U / sv) @ Vh / p)[::-1, inverse_table(p)[1:-1] - 1]
+            # (B^dagger)^H back from Wr, with Omega0^T reversing its rows and Omega1, an
+            # involution, gathering its columns
+            W = (Wr[::-1] + Wr[:, ::-1]) + 1j * (Wr - Wr[::-1, ::-1])
+            W = W[:, inverse_table(p)[1:-1] - 1] / (2 * p)
             W.setflags(write=False)
         K = None
         if cond_i:

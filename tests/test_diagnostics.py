@@ -215,8 +215,10 @@ S3 = list(permutations(range(3)))
     (lambda: is_k_transitive(S3, 4, 3), re.escape("k must be an integer in 1..n = 1..3, got 4")),
     (lambda: is_k_transitive(S3, 0, 3), re.escape("k must be an integer in 1..n = 1..3, got 0")),
     (lambda: is_k_transitive(S3, 1.5, 3), re.escape("k must be an integer in 1..n = 1..3, got 1.5")),
+    (lambda: is_k_transitive(S3, 2, 3.0), re.escape("n must be an integer, got 3.0")),
 ], ids=["pauli-psi-matrix", "projection-f-matrix", "difference-float-k0", "difference-float-l0",
-        "k-transitive-k-above-n", "k-transitive-k-zero", "k-transitive-float-k"])
+        "k-transitive-k-above-n", "k-transitive-k-zero", "k-transitive-float-k",
+        "k-transitive-float-n"])
 def test_bad_arguments_fail_for_the_right_reason(call, message):
     with pytest.raises(ValueError, match=message):
         call()

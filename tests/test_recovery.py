@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinephase.errors import (RANK_ONE_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError,
-                               InconsistentDataError)
+from affinephase.errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE,
+                               InadmissibleGeneratorError, InconsistentDataError)
 from affinephase.primefield import inverse_table, primitive_root, root_powers
 from affinephase.recovery import (
     _generator_plan,
@@ -272,8 +272,8 @@ def test_round_trip_peak_memory_at_p211():
     assert err <= 1e-9
 
 
-def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
-    calls = {"svd": 0, "pinv": 0, "eigh": 0}
+def test_one_factorization_per_generator_and_none_per_forward(monkeypatch):
+    calls = {"qr": 0, "svd": 0, "pinv": 0, "eigh": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -287,21 +287,71 @@ def test_one_svd_per_recovery_and_none_per_forward(monkeypatch):
     p = 13
     phi = canonical_generator(p)
     F = forward_measure(rand_matrix(p - 1), phi, p)
-    assert calls == {"svd": 0, "pinv": 0, "eigh": 0}
+    assert calls == {"qr": 0, "svd": 0, "pinv": 0, "eigh": 0}
     recover_matrix(F, phi, p)
-    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
+    assert calls == {"qr": 1, "svd": 0, "pinv": 0, "eigh": 0}
     # B_phi is factored once per generator, not once per recovery
     recover_matrix(np.stack([F, 2 * F, F.conj()]), phi, p)
-    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
+    assert calls == {"qr": 1, "svd": 0, "pinv": 0, "eigh": 0}
     # with the plan warm, vector retrieval takes no factorization at all
     Fv = modulus_data(phi, p, RNG.normal(size=(3, p - 1)) + 1j * RNG.normal(size=(3, p - 1)))
     recover_vector(Fv[0], phi, p)
     recover_vector(Fv, phi, p)
-    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
+    assert calls == {"qr": 1, "svd": 0, "pinv": 0, "eigh": 0}
     check_generator(phi, p)
-    assert calls == {"svd": 1, "pinv": 0, "eigh": 0}
+    assert calls == {"qr": 1, "svd": 0, "pinv": 0, "eigh": 0}
     check_generator(2 * phi, p)
-    assert calls == {"svd": 2, "pinv": 0, "eigh": 0}
+    assert calls == {"qr": 2, "svd": 0, "pinv": 0, "eigh": 0}
+    # an uncertified rank is counted from the singular values of R, once
+    assert check_generator(np.ones(p - 1), p).b_phi_rank < p - 2
+    assert calls == {"qr": 3, "svd": 1, "pinv": 0, "eigh": 0}
+
+
+def oracle_generators(p):
+    """Random, canonical and 1 + i sqrt(p) delta_1 generators."""
+    spike = np.ones(p - 1, dtype=complex)
+    spike[0] += 1j * np.sqrt(p)
+    return RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1), canonical_generator(p), spike
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 61, 211])
+def test_real_form_and_w_against_the_svd_oracle(p):
+    eps = np.finfo(float).eps
+    for phi in oracle_generators(p):
+        B = b_phi(phi, p)
+        # conj(B_phi(-m, n)) = B_phi(m, p-1-n), to rounding
+        assert np.abs(B[::-1].conj() - B[:, ::-1]).max() <= 4 * eps * np.abs(B).max()
+        # Re B + Im B[::-1] is unitarily equivalent to B
+        U, sv, Vh = np.linalg.svd(B, full_matrices=False)
+        sr = np.linalg.svd(B.real + B[::-1].imag, compute_uv=False)
+        assert np.abs(sr - sv).max() <= 1e-13 * sv[0]
+        want = ((U / sv) @ Vh / p)[::-1, inverse_table(p)[1:-1] - 1]
+        W = _generator_plan(p, phi.tobytes()).factors[1]
+        assert np.linalg.norm(W - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_rank_certificate_never_changes_a_rank(monkeypatch):
+    # ones or delta_2 plus eps * noise: B_phi of rank 1 or 0 pulled towards full rank, so
+    # that sigma_min crosses RANK_RTOL * ||phi||^2 inside the sweep
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(26)
+    branches = {False: 0, True: 0}
+    for p in (5, 7, 13, 31):
+        delta2 = np.zeros(p - 1, dtype=complex)
+        delta2[1] = 1
+        for base in (np.ones(p - 1, dtype=complex), delta2):
+            for eps in np.logspace(-14, -4, 11):
+                for _ in range(3):
+                    phi = base + eps * (rng.normal(size=p - 1) + 1j * rng.normal(size=p - 1))
+                    before = len(calls)
+                    rank = check_generator(phi, p).b_phi_rank
+                    branches[len(calls) > before] += 1
+                    sv = svd(b_phi(phi, p), compute_uv=False)
+                    assert rank == np.sum(sv > RANK_RTOL * np.vdot(phi, phi).real), (p, eps)
+    # both the certificate (no SVD) and the fallback (one SVD of R) are reached
+    assert branches[False] >= 1 and branches[True] >= 1, branches
 
 
 def test_each_entry_point_validates_p_once(monkeypatch):
