@@ -34,8 +34,8 @@ from .diagnostics import (
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
+    difference_phase_retrieval,
     full_spark,
-    is_k_transitive,
     pauli_pair_family,
     projection_phase_retrieval,
     three_transitive_phase_retrieval,

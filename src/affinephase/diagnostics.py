@@ -2,8 +2,8 @@
 
 Contents:
   * complement property and full spark checks for explicit frame systems;
-  * difference-frame coefficients for doubly transitive permutation groups
-    and conjugate-phase reconstruction from two columns of the planar Gram matrix;
+  * difference-frame coefficients for permutation lists that cover every ordered pair, and
+    conjugate phase retrieval from their magnitudes or from two columns of the planar Gram matrix;
   * the dimension-3 counterexample verifier for the extended generator
     delta_k0 - delta_l0 + n^{-1/2} * 1;
   * closed-form phase retrieval for 3-fold transitive permutation actions;
@@ -142,44 +142,49 @@ def _permutation_rows(perms, n: int | None = None) -> np.ndarray:
     return H.astype(np.int64)
 
 
-def is_k_transitive(perms, k: int, n: int) -> bool:
-    """k-fold transitivity of a list of permutations of {0..n-1} in one-line
-    notation (repeats allowed, no group assumed).  The images h(u) of the
-    M = n!/(n-k)! ordered k-tuples u, coded as base-n integers, form an (N, M)
-    array; the list is k-transitive iff after one sort along the permutation axis
-    every column holds M distinct codes.  The columns are coded, sorted and checked
-    in blocks, each from a k*N*b gather of at most 2^22 integers (32 MB)."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
-        raise ValueError(f"k must be an integer in 1..n = 1..{n}, got {k!r}")
-    H = _permutation_rows(perms, n)
-    M = perm(n, k)
-    if len(H) < M:
-        return False
-    u = np.array(list(permutations(range(n), k)), dtype=np.int64).reshape(M, k)
-    b = 2**22 // (k * len(H) + 1) + 1  # tuples per block
-    codes = (np.sort((H[:, u[i:i + b]] @ n ** np.arange(k - 1, -1, -1)).T) for i in range(0, M, b))
-    return all(np.all(np.count_nonzero(np.diff(c), axis=1) == M - 1) for c in codes)
+def _cover(H: np.ndarray, base: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of t = h(base) as base-n integers, one per row h of H, and the count of each of the
+    n^k codes; ValueError naming the first (lexicographic) ordered k-tuple of distinct points that
+    is no t.  Under n!/(n-k)! rows it fails before any n^k array; the search walks <= N + 1 tuples."""
+    n, k, T = H.shape[1], len(base), H[:, list(base)]
+    code = T @ n ** np.arange(k - 1, -1, -1)
+    count = np.bincount(code, minlength=n**k) if len(H) >= perm(n, k) else None
+    if count is None or np.count_nonzero(count) < perm(n, k):
+        covered = set(map(tuple, T.tolist()))
+        missing = next(t for t in permutations(range(n), k) if t not in covered)
+        raise ValueError(f"permutation list is not {k}-fold transitive: no h maps {base} to {missing}")
+    return code, count
 
 
-def difference_coefficients(f, k0: int, l0: int, perms) -> dict[tuple[int, ...], complex]:
-    """Frame coefficients of f against the orbit of delta_k0 - delta_l0 under a list of
-    permutations: the value at h is f(h(k0)) - f(h(l0)).  The list must cover every ordered
-    pair of distinct points as some (h(k0), h(l0)), which one bincount checks."""
+def _base_pair(k0, l0, n: int) -> tuple[int, int]:
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in (k0, l0)) or k0 == l0:
+        raise ValueError(f"k0, l0 must be distinct integers in {{0..n-1}}, got {k0!r}, {l0!r}")
+    return int(k0), int(l0)
+
+
+def _rows_and_magnitudes(name: str, magnitudes, perms) -> tuple[np.ndarray, np.ndarray, int]:
+    """``perms`` as rows on n >= 3 points, one nonnegative magnitude per row, and n."""
+    H = _permutation_rows(perms)
+    if len(H) == 0 or H.shape[1] < 3:
+        raise ValueError(f"need a nonempty list of permutations of at least 3 points, got {H.shape}")
+    y = np.asarray(magnitudes, dtype=float)
+    require_finite(name, y)
+    if y.shape != (len(H),):
+        raise ValueError("need one nonnegative magnitude per permutation")
+    if (y < 0).any():
+        raise ValueError(f"magnitude {int(np.argmax(y < 0))} is negative; need nonnegative ones")
+    return H, y, H.shape[1]
+
+
+def difference_coefficients(f, k0: int, l0: int, perms) -> np.ndarray:
+    """f(h(k0)) - f(h(l0)) for each row h, in row order: the frame coefficients of f against the
+    orbit of delta_k0 - delta_l0, for a list that covers every ordered pair (:func:`_cover`)."""
     f = require_finite("f", f)
     if f.ndim != 1:
         raise ValueError(f"f must be a vector, got shape {f.shape}")
-    n = len(f)
-    if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in (k0, l0)) or k0 == l0:
-        raise ValueError(f"k0, l0 must be distinct integers in {{0..n-1}}, got {k0!r}, {l0!r}")
-    H = _permutation_rows(perms, n)
-    covered = np.bincount(H[:, k0] * n + H[:, l0], minlength=n * n).reshape(n, n)
-    missing = np.argwhere((covered == 0) & ~np.eye(n, dtype=bool))
-    if len(missing):
-        raise ValueError(f"permutation list is not doubly transitive: no h maps ({k0}, {l0}) "
-                         f"to {tuple(missing[0].tolist())}")
-    return dict(zip(map(tuple, H.tolist()), (f[H[:, k0]] - f[H[:, l0]]).tolist()))
+    H = _permutation_rows(perms, len(f))
+    _cover(H, _base_pair(k0, l0, len(f)))
+    return f[H[:, k0]] - f[H[:, l0]]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +234,18 @@ def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     if z[np.argsort(np.abs(z))[-2]].imag < -CONJUGATE_PR_RTOL * scale:
         z = canonical_phase(z.conj())
     return z
+
+
+def difference_phase_retrieval(magnitudes, perms, k0: int = 0, l0: int = 1) -> np.ndarray:
+    """Recover a zero-sum g, up to a unit scalar and conjugation, from the magnitudes y of its
+    :func:`difference_coefficients`: y^2 averaged per pair (h(k0), h(l0)) is D^2 for conj-pr.
+    InconsistentDataError if the row-by-row residual |g(h(k0)) - g(h(l0))|^2 - y^2 > RANK_ONE_RTOL."""
+    H, y, n = _rows_and_magnitudes("magnitudes", magnitudes, perms)
+    code, count = _cover(H, _base_pair(k0, l0, n))
+    D2 = (np.bincount(code, y * y, n * n) / np.maximum(count, 1)).reshape(n, n)
+    g = conjugate_phase_reconstruct(np.sqrt((D2 + D2.T) / 2))
+    recovery._check_forward_residual(np.abs(g[H[:, k0]] - g[H[:, l0]]) ** 2, y**2)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +359,15 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     generator) supported on {0,1,2}.
 
     A measurement reads h only at t = (h(0), h(1), h(2)), so the list needs only that every
-    ordered triple of distinct points is some t, which one bincount over the codes of t checks
-    in O(N + n^3) memory.  It also averages y^2 per t into an n x n x n array M, linear in
-    X = f f^H.  For X with zero row and column sums, the pair sums S(u, v) = sum_c M at
-    (t_i, t_j, t_k) = (u, v, c), u != v, are alpha X(u,u) + beta X(v,v) + gamma X(u,v) +
-    conj(gamma) X(v,u) + e tr X.  Summed over all (u, v) they give tr X, over v the diagonal,
-    and S(u, v) with S(v, u) the rest.  f is read off as in recover_vector;
-    InconsistentDataError if its forward residual > RANK_ONE_RTOL.
+    ordered triple of distinct points is some t (:func:`_cover`), and one bincount averages
+    y^2 per t into an n x n x n array M, linear in X = f f^H.  For X with zero row and column
+    sums, the pair sums S(u, v) = sum_c M at (t_i, t_j, t_k) = (u, v, c), u != v, are
+    alpha X(u,u) + beta X(v,v) + gamma X(u,v) + conj(gamma) X(v,u) + e tr X.  Summed over all
+    (u, v) they give tr X, over v the diagonal, and S(u, v) with S(v, u) the rest.  f is read
+    off as in recover_vector; InconsistentDataError if its forward residual > RANK_ONE_RTOL.
     """
-    H = _permutation_rows(perms)
-    if len(H) == 0:
-        raise ValueError("empty permutation list")
-    n = H.shape[1]
-    if n < 3:
-        raise ValueError(f"3-transitive retrieval needs permutations of at least 3 points, got {n}")
-    y = np.asarray(measurements, dtype=float)
-    require_finite("measurements", y)
-    if y.shape != (len(H),):
-        raise ValueError("need one nonnegative magnitude per permutation")
-    if (y < 0).any():
-        raise ValueError(f"magnitude {int(np.argmax(y < 0))} is negative; need nonnegative ones")
-    code = H[:, :3] @ (n * n, n, 1)
-    count = np.bincount(code, minlength=n**3) if len(H) >= perm(n, 3) else None
-    if count is None or np.count_nonzero(count) < perm(n, 3):
-        covered = set(map(tuple, H[:, :3].tolist()))
-        missing = next(t for t in permutations(range(n), 3) if t not in covered)
-        raise ValueError(f"permutation list is not 3-fold transitive: no h maps (0, 1, 2) to {missing}")
+    H, y, n = _rows_and_magnitudes("measurements", measurements, perms)
+    code, count = _cover(H, (0, 1, 2))
     psi0 = require_finite("psi0", canonical_time_generator(3) if psi0 is None else psi0)
     if psi0.shape != (3,):
         raise ValueError("psi0 must be a vector on 3 points")

@@ -12,10 +12,10 @@ import numpy as np
 #: |c_phi|, |A_phi| <= this * ||phi||^2 and 3-transitive divisors <= this * n^2 ||psi0||^2 vanish.
 RANK_RTOL = 1e-10
 
-#: The one consistency test of the three retrievals, the forward residual: phase retrieval
-#: rejects F if the recovered f has || |<f, pi_hat0 phi>|^2 - F || > this * ||F||, the
-#: 3-transitive pipeline magnitudes y if || |<f, Pi(h) psi>|^2 - y^2 || > this * ||y^2||, and
-#: conjugate phase retrieval moduli D if || |f(k) - f(l)|^2 - D^2 || > this * ||D^2||.
+#: The one consistency test of the retrievals, the forward residual || fit - data || > this *
+#: ||data|| of the recovered f: |<f, pi_hat0 phi>|^2 against F (phase retrieval), |<f, Pi(h) psi>|^2
+#: against y^2 (3-transitive), |f(k) - f(l)|^2 against D^2 (conjugate phase retrieval) and
+#: |f(h(k0)) - f(h(l0))|^2 against y^2 (difference-frame magnitudes).
 RANK_ONE_RTOL = 1e-6
 
 #: Conjugate phase retrieval: the moduli matrix must be symmetric with zero diagonal to

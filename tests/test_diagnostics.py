@@ -1,18 +1,21 @@
 import re
+import tracemalloc
 from itertools import permutations
+from math import perm
 
 import numpy as np
 import pytest
 
 from affinephase.diagnostics import (
     _affine_coefficients,
+    _cover,
     _pair_sum_coefficients,
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
+    difference_phase_retrieval,
     frequency_deleted_moduli,
     full_spark,
-    is_k_transitive,
     pauli_pair_family,
     projection_phase_retrieval,
     recover_from_projection_moduli,
@@ -88,12 +91,19 @@ def test_full_spark():
 # transitivity and difference frames
 
 
+def as_rows(perms, n):
+    return np.array(perms, dtype=np.int64).reshape(-1, n)
+
+
 def test_k_transitivity():
-    S4 = list(permutations(range(4)))
-    assert is_k_transitive(S4, 2, 4)
-    assert is_k_transitive(S4, 3, 4)
-    cyc = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
-    assert not is_k_transitive(cyc, 2, 4)
+    # for a group, covering every ordered k-tuple from one base tuple is k-transitivity
+    S4 = as_rows(list(permutations(range(4))), 4)
+    for base in ((0, 1), (0, 1, 2), (3, 1)):
+        code, count = _cover(S4, base)
+        assert count.sum() == 24 and np.count_nonzero(count) == perm(4, len(base))
+    cyc = as_rows([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], 4)
+    with pytest.raises(ValueError, match=re.escape("2-fold transitive: no h maps (0, 1) to (0, 2)")):
+        _cover(cyc, (0, 1))
 
 
 def brute_force_k_transitive(perms, k, n):
@@ -109,7 +119,16 @@ def brute_force_k_transitive(perms, k, n):
     return True
 
 
+def brute_force_missing(perms, base, n):
+    """Reference: the first ordered k-tuple of distinct points in lexicographic order that
+    is no h(base) over the list, or None."""
+    reached = {tuple(h[i] for i in base) for h in perms}
+    return next((t for t in sorted(permutations(range(n), len(base))) if t not in reached), None)
+
+
 def test_k_transitivity_against_brute_force_oracle():
+    # _cover's verdict and the tuple it names, against a scan of every ordered k-tuple; on the
+    # groups among the lists, its verdict from any one base tuple is k-transitivity
     rng = np.random.default_rng(5)
     agree = positives = 0
     for n in (3, 4, 5):
@@ -120,17 +139,20 @@ def test_k_transitivity_against_brute_force_oracle():
             size = int(rng.integers(1, 2 * len(group)))
             replace = size > len(group) or bool(rng.integers(2))  # duplicates
             lists.append([group[i] for i in rng.choice(len(group), size, replace=replace)])
-        for perms in lists:
-            for k in range(n + 2):
-                if not 1 <= k <= n:  # refused, not answered by vacuous truth
-                    with pytest.raises(ValueError, match=re.escape(f"an integer in 1..n = 1..{n}")):
-                        is_k_transitive(perms, k, n)
-                    continue
-                expected = brute_force_k_transitive(perms, k, n)
-                assert is_k_transitive(perms, k, n) == expected, (n, k, len(perms))
-                assert is_k_transitive(np.array(perms, dtype=int).reshape(-1, n), k, n) == expected
-                agree += 1
-                positives += expected
+        for i, perms in enumerate(lists):
+            for k in range(1, n + 1):
+                for base in (tuple(range(k)), tuple(int(x) for x in rng.permutation(n)[:k])):
+                    missing = brute_force_missing(perms, base, n)
+                    if missing is None:
+                        code, count = _cover(as_rows(perms, n), base)
+                        assert count.sum() == len(perms) and (np.bincount(code, minlength=n**k) == count).all()
+                    else:
+                        with pytest.raises(ValueError, match=re.escape(f"no h maps {base} to {missing}") + "$"):
+                            _cover(as_rows(perms, n), base)
+                    if i in (1, 4):  # the symmetric and the alternating group
+                        assert (missing is None) == brute_force_k_transitive(perms, k, n), (n, k)
+                    agree += 1
+                    positives += missing is None
     assert positives > agree // 4  # both answers are exercised
 
 
@@ -138,47 +160,86 @@ def test_k_transitivity_against_brute_force_oracle():
 def test_k_transitivity_names_the_offending_row(bad):
     perms = [(0, 1, 2), (1, 2, 0), bad, (2, 0, 1)]
     with pytest.raises(ValueError, match=r"row 2 is not a permutation of 0\.\.2"):
-        is_k_transitive(perms, 1, 3)
+        difference_coefficients(np.zeros(3), 0, 1, perms)
+
+
+def affine_rows(p):
+    """AGL(1,p) acting on Z_p, m -> k + l m, as a (p(p-1), p) array: sharply 2-transitive."""
+    k, l = np.meshgrid(np.arange(p), np.arange(1, p), indexing="ij")
+    return (k.reshape(-1, 1) + l.reshape(-1, 1) * np.arange(p)) % p
 
 
 def test_affine_group_is_doubly_transitive():
-    p = 5
-    perms = [
-        tuple((x.k + x.l * m) % p for m in range(p)) for x in enumerate_group(p)
-    ]
-    assert is_k_transitive(perms, 2, p)
-    assert not is_k_transitive(perms, 3, p)
+    H = affine_rows(5)
+    code, count = _cover(H, (0, 1))
+    assert count.max() == 1 and count.sum() == 20  # each ordered pair once
+    with pytest.raises(ValueError, match=re.escape("no h maps (0, 1, 2) to (0, 1, 3)")):
+        _cover(H, (0, 1, 2))
 
 
 def test_pgl2_31_is_doubly_transitive():
-    # the columns are checked in blocks: the whole (N, M) gather would take ~0.7 GB here
-    rows = pgl2(31)
-    assert is_k_transitive(rows, 2, 32)
-    # without the 30 maps that swap 30 and 31, only the last tuples miss a target
-    assert not is_k_transitive(rows[(rows[:, 30] != 31) | (rows[:, 31] != 30)], 2, 32)
+    rows31 = pgl2(31)
+    _cover(rows31, (30, 31))
+    # without the 30 maps that swap 30 and 31, only the lexicographically last pair is missed
+    with pytest.raises(ValueError, match=re.escape("no h maps (30, 31) to (31, 30)")):
+        _cover(rows31[(rows31[:, 30] != 31) | (rows31[:, 31] != 30)], (30, 31))
 
 
 def test_difference_coefficients():
     S3 = list(permutations(range(3)))
     f = rand_zero_sum(3)
     coeffs = difference_coefficients(f, 0, 1, S3)
-    for h, val in coeffs.items():
+    assert coeffs.shape == (6,)
+    for h, val in zip(S3, coeffs):
         assert abs(val - (f[h[0]] - f[h[1]])) < 1e-14
+
+
+def test_difference_coefficients_keep_repeated_rows_in_row_order():
+    S3 = list(permutations(range(3)))
+    f = rand_zero_sum(3)
+    coeffs = difference_coefficients(f, 0, 1, S3 + S3)
+    assert coeffs.shape == (12,)
+    assert np.array_equal(coeffs, [f[h[0]] - f[h[1]] for h in S3 + S3])
 
 
 def test_difference_coefficients_accept_a_covering_list_that_is_not_2_transitive():
     # one row per ordered pair (h(0), h(1)), completed by the other points in ascending order
     rows = [t + tuple(sorted(set(range(4)) - set(t))) for t in permutations(range(4), 2)]
-    assert not is_k_transitive(rows, 2, 4)
+    assert not brute_force_k_transitive(rows, 2, 4)
     f = rand_zero_sum(4)
     coeffs = difference_coefficients(f, 0, 1, rows)
-    assert coeffs == {h: complex(f[h[0]] - f[h[1]]) for h in rows}
+    assert np.array_equal(coeffs, [f[h[0]] - f[h[1]] for h in rows])
 
 
 def test_difference_coefficients_name_a_missing_pair():
     rows = [h for h in permutations(range(3)) if h != (1, 0, 2)]
     with pytest.raises(ValueError, match=re.escape("no h maps (0, 1) to (1, 0)")):
         difference_coefficients(rand_zero_sum(3), 0, 1, rows)
+
+
+def traced_peak_of_failure(call, message):
+    """tracemalloc peak, in bytes, of a call that must raise ValueError matching ``message``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_short_list_on_many_points_fails_in_little_memory():
+    # no n^k array: n^2 counts at n = 2000 would take 32 MB, n^3 at n = 400 512 MB
+    identity = np.arange(2000)
+    two_rows = np.stack([identity, identity[::-1]])
+    peak = traced_peak_of_failure(lambda: difference_coefficients(np.zeros(2000), 0, 1, two_rows),
+                                  re.escape("no h maps (0, 1) to (0, 2)"))
+    assert peak < 1e6, peak
+    identity = np.arange(400)
+    three_rows = np.stack([identity, identity[::-1], np.roll(identity, 1)])
+    peak = traced_peak_of_failure(lambda: three_transitive_phase_retrieval(np.zeros(3), three_rows),
+                                  re.escape("no h maps (0, 1, 2) to (0, 1, 3)"))
+    assert peak < 1e6, peak
 
 
 FLAT = "perms must be a list of permutation rows, but row 0 is 0$"
@@ -189,13 +250,13 @@ FLAT = "perms must be a list of permutation rows, but row 0 is 0$"
      re.escape("f must be a vector, got shape (3, 3)")),
     (lambda: difference_coefficients(np.ones(3), 0, 1, [0, 1, 2]), FLAT),
     (lambda: difference_coefficients(np.ones(3), 0, 1, np.array([0, 1, 2])), FLAT),
-    (lambda: is_k_transitive([0, 1, 2], 1, 3), FLAT),
-    (lambda: is_k_transitive(np.array([0, 1, 2]), 1, 3), FLAT),
-    (lambda: is_k_transitive([(0, 1, 2), 5], 1, 3), "list of permutation rows, but row 1 is 5$"),
+    (lambda: difference_coefficients(np.ones(3), 0, 1, [(0, 1, 2), 5]),
+     "list of permutation rows, but row 1 is 5$"),
+    (lambda: difference_phase_retrieval(np.ones(3), [0, 1, 2]), FLAT),
     (lambda: three_transitive_phase_retrieval(np.ones(3), [0, 1, 2]), FLAT),
     (lambda: three_transitive_phase_retrieval(np.ones(3), np.array([0, 1, 2])), FLAT),
-], ids=["difference-f-matrix", "difference-flat-list", "difference-flat-array", "k-transitive-flat-list",
-        "k-transitive-flat-array", "k-transitive-int-row", "3-transitive-flat-list", "3-transitive-flat-array"])
+], ids=["difference-f-matrix", "difference-flat-list", "difference-flat-array", "difference-int-row",
+        "difference-retrieval-flat-list", "3-transitive-flat-list", "3-transitive-flat-array"])
 def test_permutation_entry_points_reject_a_misshapen_argument(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -212,13 +273,11 @@ S3 = list(permutations(range(3)))
     (lambda: difference_coefficients(np.ones(3), 0.0, 1, S3),
      re.escape("k0, l0 must be distinct integers in {0..n-1}, got 0.0, 1")),
     (lambda: difference_coefficients(np.ones(3), 0, np.float64(1), S3), "must be distinct integers"),
-    (lambda: is_k_transitive(S3, 4, 3), re.escape("k must be an integer in 1..n = 1..3, got 4")),
-    (lambda: is_k_transitive(S3, 0, 3), re.escape("k must be an integer in 1..n = 1..3, got 0")),
-    (lambda: is_k_transitive(S3, 1.5, 3), re.escape("k must be an integer in 1..n = 1..3, got 1.5")),
-    (lambda: is_k_transitive(S3, 2, 3.0), re.escape("n must be an integer, got 3.0")),
+    (lambda: difference_phase_retrieval(np.ones(6), S3, 1, 1),
+     re.escape("k0, l0 must be distinct integers in {0..n-1}, got 1, 1")),
+    (lambda: difference_phase_retrieval(np.ones(6), S3, 0, 3), "must be distinct integers"),
 ], ids=["pauli-psi-matrix", "projection-f-matrix", "difference-float-k0", "difference-float-l0",
-        "k-transitive-k-above-n", "k-transitive-k-zero", "k-transitive-float-k",
-        "k-transitive-float-n"])
+        "difference-retrieval-equal-pair", "difference-retrieval-l0-out-of-range"])
 def test_bad_arguments_fail_for_the_right_reason(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -306,6 +365,76 @@ def test_conjugate_phase_reconstruct_rejects_asymmetric_moduli():
         conjugate_phase_reconstruct(D)
 
 
+def group_rows(group, n):
+    if group == "S":
+        return np.array(list(permutations(range(n))))
+    return {"AGL": affine_rows, "PGL": pgl2}[group](n)
+
+
+def conjugate_distance(g, f):
+    """Phase distance of g to f or to conj(f), relative to ||f||."""
+    return min(phase_distance(g, f), phase_distance(g, f.conj())) / np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("group, n", [("AGL", p) for p in (5, 13, 61, 211)]
+                         + [("PGL", p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                         + [("S", 4), ("S", 5)])
+def test_difference_phase_retrieval_recovers_exact_data(group, n):
+    H = group_rows(group, n)
+    f = rand_zero_sum(H.shape[1])
+    g = difference_phase_retrieval(np.abs(difference_coefficients(f, 0, 1, H)), H)
+    assert conjugate_distance(g, f) <= 1e-12
+    assert abs(g.sum()) <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("group, n, k0, l0", [("AGL", 13, 5, 2), ("S", 4, 3, 0), ("PGL", 7, 7, 1)])
+def test_difference_phase_retrieval_from_another_base_pair(group, n, k0, l0):
+    H = group_rows(group, n)
+    f = rand_zero_sum(H.shape[1])
+    g = difference_phase_retrieval(np.abs(difference_coefficients(f, k0, l0, H)), H, k0, l0)
+    assert conjugate_distance(g, f) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [13, 61, 211])
+def test_difference_phase_retrieval_of_noisy_magnitudes(p):
+    # 1e-8 relative noise on every magnitude: the error stays within 100 times the noise
+    rng = np.random.default_rng(p)
+    H = affine_rows(p)
+    for _ in range(3):
+        f = rand_zero_sum(p)
+        y = np.abs(difference_coefficients(f, 0, 1, H)) * (1 + 1e-8 * rng.normal(size=len(H)))
+        assert conjugate_distance(difference_phase_retrieval(y, H), f) <= 1e-6
+
+
+def test_difference_phase_retrieval_names_a_missing_pair():
+    H = affine_rows(5)
+    H = H[(H[:, 0] != 1) | (H[:, 1] != 0)]  # the one map m -> 1 - m
+    assert len(H) == 19
+    with pytest.raises(ValueError, match=re.escape("no h maps (0, 1) to (1, 0)")):
+        difference_phase_retrieval(np.ones(19), H)
+
+
+def test_difference_phase_retrieval_rejects_disagreeing_repeats():
+    # AGL(1,13) listed twice, one copy's magnitudes 1.5 times too large: the averaged
+    # distances are planar, but the rows of either copy do not fit them
+    H = affine_rows(13)
+    y = np.abs(difference_coefficients(rand_zero_sum(13), 0, 1, H))
+    with pytest.raises(InconsistentDataError, match="forward residual .* > RANK_ONE_RTOL"):
+        difference_phase_retrieval(np.concatenate([y, 1.5 * y]), np.concatenate([H, H]))
+
+
+@pytest.mark.parametrize("magnitudes, perms, message", [
+    ([], [], "nonempty list of permutations of at least 3 points"),
+    (np.ones(2), list(permutations(range(2))), "at least 3 points"),
+    ([1, 1, 1, 1, -1, 1], S3, "magnitude 4 is negative"),
+    (np.ones(5), S3, "one nonnegative magnitude per permutation"),
+    (np.ones((6, 1)), S3, "one nonnegative magnitude per permutation"),
+], ids=["empty", "two-points", "negative", "short", "column"])
+def test_difference_phase_retrieval_rejects_bad_magnitudes(magnitudes, perms, message):
+    with pytest.raises(ValueError, match=message):
+        difference_phase_retrieval(magnitudes, perms)
+
+
 # ---------------------------------------------------------------------------
 # counterexamples
 
@@ -355,7 +484,7 @@ def pgl2(p):
 def test_three_transitive_retrieval_s4():
     psi0 = canonical_time_generator(3)
     pgl = pgl2(5)
-    assert len(pgl) == 120 and is_k_transitive(pgl, 3, 6)
+    assert len(pgl) == 120 and brute_force_k_transitive(pgl, 3, 6)
     for perms in (list(permutations(range(4))), pgl):
         f = rand_zero_sum(len(perms[0]))
         g = three_transitive_phase_retrieval(measurements_for(f, perms, psi0), perms)
@@ -448,7 +577,7 @@ def test_three_transitive_retrieval_on_pgl2(p):
 def test_three_transitive_accepts_a_covering_list_that_is_not_3_transitive():
     # one row per ordered base triple, completed by the two other points in ascending order
     rows = [t + tuple(sorted(set(range(5)) - set(t))) for t in permutations(range(5), 3)]
-    assert len(rows) == 60 and not is_k_transitive(rows, 3, 5)
+    assert len(rows) == 60 and not brute_force_k_transitive(rows, 3, 5)
     f = rand_zero_sum(5)
     g = three_transitive_phase_retrieval(measurements_for(f, rows, canonical_time_generator(3)), rows)
     assert phase_distance(g, f) < 1e-12 * np.linalg.norm(f)
@@ -476,7 +605,6 @@ def test_three_transitive_uses_neither_transitivity_nor_a_solver(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("not on the 3-transitive path")
 
-    monkeypatch.setattr(diagnostics, "is_k_transitive", forbidden)
     for name in ("recover_vector", "recover_matrix"):
         monkeypatch.setattr(diagnostics.recovery, name, forbidden)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
@@ -604,6 +732,8 @@ NON_FINITE_CALLS = {
         "vectors", lambda: complement_property(_with(np.eye(3), (0, 0), np.nan))),
     "difference_coefficients": ("f", lambda: difference_coefficients(
         _with(rand_zero_sum(3), 1, np.nan), 0, 1, list(permutations(range(3))))),
+    "difference_phase_retrieval": ("magnitudes", lambda: difference_phase_retrieval(
+        _with(np.ones(6), 2, np.nan), list(permutations(range(3))))),
     "frequency_deleted_moduli": ("f", lambda: frequency_deleted_moduli(
         _with(rand_zero_sum(5), 2, np.inf), 5)),
     "pauli_pair_family f": ("f", lambda: pauli_pair_family(

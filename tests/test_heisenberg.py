@@ -75,6 +75,19 @@ def test_h_forward_against_direct_quadratic_forms():
                     assert abs(F[k, l] - np.vdot(w, A @ w)) <= 1e-12 * np.max(np.abs(F)), (n, k, l)
 
 
+@pytest.mark.parametrize("n", [4, 6, 13])
+def test_singular_values_of_the_measurement_map(n):
+    # the map's singular values are n |A_phi(k, l)|, against the dense matrix whose row (k, l)
+    # holds the quadratic form A -> <A pi(k,l) phi, pi(k,l) phi>
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        W = [schrodinger_matrix(k, l, n) @ phi for k in range(n) for l in range(n)]
+        sv = np.linalg.svd(np.array([np.outer(w.conj(), w).ravel() for w in W]), compute_uv=False)
+        expected = np.sort(n * np.abs(ambiguity(phi)).ravel())[::-1]
+        assert np.max(np.abs(sv - expected)) <= 1e-12 * sv[0]
+
+
 def test_h_forward_peak_memory_at_n128():
     # O(n^2) memory: n^3 intermediates would take 68 MB here
     n = 128

@@ -245,6 +245,19 @@ def test_oracle_full_map_rows():
     assert np.allclose(M @ A.reshape(-1), F, atol=1e-11)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_singular_values_of_the_measurement_map(p):
+    # the map's singular values are sqrt(p) |c_phi(chi_j)|, once each, and
+    # sqrt(p) sigma_i(B_phi), p - 1 times each
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        phi = rng.normal(size=p - 1) + 1j * rng.normal(size=p - 1)
+        sv = np.linalg.svd(oracle_full_map(phi, p), compute_uv=False)
+        sigma_b = np.linalg.svd(b_phi(phi, p), compute_uv=False)
+        expected = np.sqrt(p) * np.concatenate([np.abs(c_phi(phi, p)), np.repeat(sigma_b, p - 1)])
+        assert np.max(np.abs(sv - np.sort(expected)[::-1])) <= 1e-12 * sv[0]
+
+
 def round_trip_peak(p):
     """(tracemalloc peak in bytes, relative error) of one round trip at p."""
     phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
