@@ -272,9 +272,8 @@ def _cmd_heisenberg(args) -> int:
     _require(args, "heisenberg", args.action)
     phi = _read_vector(args.phi, range(n))
     if args.action == "check":
-        amb = heisenberg.ambiguity(phi)
-        _emit({"n": n, "admissible": heisenberg._vanishing_point(amb, phi) is None,
-               "min_ambiguity_modulus": float(np.min(np.abs(amb)))})
+        _, bad, least = heisenberg._plan(phi)
+        _emit({"n": n, "admissible": bad is None, "min_ambiguity_modulus": least})
     elif args.action == "forward":
         A = _read_matrix(args.matrix, (n, n))
         _emit(_matrix_doc(heisenberg.h_forward(A, phi), range(n), range(n)))

@@ -123,7 +123,8 @@ def full_spark(vectors) -> bool:
 def _permutation_rows(perms, n: int | None = None) -> np.ndarray:
     """``perms`` as an (N, n) integer array, n by default the size of the first row, checked
     by one sort against 0..n-1; the ValueError names the first row that is not a sequence
-    (as in a flat ``perms``) or not a permutation."""
+    (as in a flat ``perms``) or not a permutation.  An int64 array comes back uncopied, so
+    callers only read it."""
     rows = perms if isinstance(perms, np.ndarray) else list(perms)
     if n is None:
         n = np.size(rows[0]) if len(rows) else 0
@@ -139,7 +140,7 @@ def _permutation_rows(perms, n: int | None = None) -> np.ndarray:
             raise ValueError(f"perms must be a list of permutation rows, but row {i} is {h}")
         if sorted(h) != list(range(n)):
             raise ValueError(f"row {i} is not a permutation of 0..{n - 1}: {tuple(h)}")
-    return H.astype(np.int64)
+    return H.astype(np.int64, copy=False)
 
 
 def _cover(H: np.ndarray, base: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -494,9 +494,11 @@ def test_heisenberg_check_and_forward_match_the_library(capsys, tmp_path):
 
 
 def test_heisenberg_check_builds_one_ambiguity_table(capsys, tmp_path, monkeypatch):
+    # the verdict and the smallest modulus both come from the generator's plan
     calls = []
-    ambiguity = heisenberg.ambiguity
-    monkeypatch.setattr(heisenberg, "ambiguity", lambda phi: calls.append(1) or ambiguity(phi))
+    build = heisenberg._ambiguity
+    monkeypatch.setattr(heisenberg, "_ambiguity", lambda phi: calls.append(1) or build(phi))
+    heisenberg._generator_plan.cache_clear()
     phi_path = tmp_path / "phi.json"
     write_vector(phi_path, np.ones(4), range(4))  # its ambiguity function vanishes
     code, doc = run(capsys, "heisenberg", "--n", "4", "check", "--phi", str(phi_path))

@@ -10,6 +10,7 @@ from affinephase.diagnostics import (
     _affine_coefficients,
     _cover,
     _pair_sum_coefficients,
+    _permutation_rows,
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
@@ -385,6 +386,17 @@ def test_difference_phase_retrieval_recovers_exact_data(group, n):
     g = difference_phase_retrieval(np.abs(difference_coefficients(f, 0, 1, H)), H)
     assert conjugate_distance(g, f) <= 1e-12
     assert abs(g.sum()) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_difference_phase_retrieval_leaves_an_int64_perms_array_unchanged():
+    # the validated rows alias an int64 perms array, so no step may write into them
+    H = affine_rows(13).astype(np.int64)
+    before = H.copy()
+    assert np.shares_memory(_permutation_rows(H), H)
+    f = rand_zero_sum(13)
+    g = difference_phase_retrieval(np.abs(difference_coefficients(f, 0, 1, H)), H)
+    assert conjugate_distance(g, f) <= 1e-12
+    assert np.array_equal(H, before)
 
 
 @pytest.mark.parametrize("group, n, k0, l0", [("AGL", 13, 5, 2), ("S", 4, 3, 0), ("PGL", 7, 7, 1)])

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinephase.errors import MAX_SIZE, InadmissibleGeneratorError
-from affinephase.heisenberg import ambiguity, check_generator_h, h_forward, h_recover
+from affinephase import heisenberg
+from affinephase.errors import MAX_SIZE, TABLE_CACHE_SIZE, InadmissibleGeneratorError
+from affinephase.heisenberg import (_generator_plan, _index_maps, _plan, ambiguity,
+                                    check_generator_h, h_forward, h_recover)
 from affinephase.reference import schrodinger_matrix
 
 RNG = np.random.default_rng(20240817)
@@ -86,6 +88,79 @@ def test_singular_values_of_the_measurement_map(n):
         sv = np.linalg.svd(np.array([np.outer(w.conj(), w).ravel() for w in W]), compute_uv=False)
         expected = np.sort(n * np.abs(ambiguity(phi)).ravel())[::-1]
         assert np.max(np.abs(sv - expected)) <= 1e-12 * sv[0]
+
+
+@pytest.mark.parametrize("n", [5, 16, 48])
+def test_recovery_error_bound_is_attained_at_the_smallest_ambiguity(n):
+    # h_recover is the inverse of a map with singular values n |A_phi(k, l)| and right singular
+    # vectors n^{-1/2} pi(k, l), so ||h_recover(F + dF) - A|| <= ||dF|| / (n min |A_phi|),
+    # with equality for dF = h_forward(pi(k*, l*)) at the argmin
+    rng = np.random.default_rng(n)
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    amb = np.abs(ambiguity(phi))
+    bound = 1 / (n * amb.min())
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    F = h_forward(A, phi)
+    for _ in range(5):
+        dF = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        error = np.linalg.norm(h_recover(F + dF, phi) - A)
+        assert error <= bound * np.linalg.norm(dF) * (1 + 1e-10)
+    k, l = np.unravel_index(amb.argmin(), amb.shape)
+    dF = h_forward(schrodinger_matrix(k, l, n), phi)
+    ratio = np.linalg.norm(h_recover(dF, phi)) / np.linalg.norm(dF)
+    assert abs(ratio - bound) <= 1e-10 * bound
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 48, 211])
+def test_a_stack_equals_the_per_record_loop_bit_for_bit(n):
+    # numpy writes into a temporary of 256 KiB or more, swapping the operands of a product, when
+    # the other operand has its shape: at n = 211 one record would take that path, a stack not
+    rng = np.random.default_rng(n)
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    A = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    F = h_forward(A, phi)
+    rec = h_recover(F, phi)
+    assert F.shape == rec.shape == A.shape
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(F[i], h_forward(A[i], phi))
+        assert np.array_equal(rec[i], h_recover(F[i], phi))
+    assert np.linalg.norm(rec - A) <= 1e-9 * np.linalg.norm(A)
+
+
+def test_a_round_trip_builds_one_ambiguity_table(monkeypatch):
+    calls = []
+    build = heisenberg._ambiguity
+    monkeypatch.setattr(heisenberg, "_ambiguity", lambda phi: calls.append(1) or build(phi))
+    _generator_plan.cache_clear()
+    n = 16
+    phi = rand_generator(n)
+    A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+    h_recover(h_forward(A, phi), phi)
+    assert check_generator_h(phi) and len(calls) == 1
+
+
+def test_equal_generator_shares_its_plan_and_one_changed_in_place_gets_a_new_one():
+    n = 12
+    phi = rand_generator(n)
+    plan = _plan(phi)
+    info = _generator_plan.cache_info()
+    assert _plan(phi.copy()) is plan
+    assert _generator_plan.cache_info().misses == info.misses
+    phi[3] *= 2.0
+    assert _plan(phi) is not plan
+    assert _generator_plan.cache_info().misses == info.misses + 1
+    assert np.array_equal(_plan(phi)[0], (np.sqrt(n) * ambiguity(phi).conj())[-np.arange(n) % n])
+
+
+def test_plans_and_index_maps_are_bounded_and_read_only():
+    for cache in (_generator_plan, _index_maps):
+        assert cache.cache_info().maxsize == TABLE_CACHE_SIZE
+    n = 6
+    table = _plan(rand_generator(n))[0]
+    for a in (table, *_index_maps(n)):
+        assert a.shape == (n, n) and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
 
 
 def test_h_forward_peak_memory_at_n128():

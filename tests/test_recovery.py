@@ -258,6 +258,25 @@ def test_singular_values_of_the_measurement_map(p):
         assert np.max(np.abs(sv - np.sort(expected)[::-1])) <= 1e-12 * sv[0]
 
 
+@pytest.mark.parametrize("p", [5, 13, 31, 61, 101])
+def test_recovery_error_bound(p):
+    # recovery is least squares against a map whose smallest singular value is
+    # sqrt(p) min(min_j |c_phi(chi_j)|, sigma_min(B_phi)), which bounds the error
+    rng = np.random.default_rng(p)
+    phi = rng.normal(size=p - 1) + 1j * rng.normal(size=p - 1)
+    sigma_min = np.linalg.svd(b_phi(phi, p), compute_uv=False)[-1]
+    bound = 1 / (np.sqrt(p) * min(np.abs(c_phi(phi, p)).min(), sigma_min))
+    A = rng.normal(size=(p - 1, p - 1)) + 1j * rng.normal(size=(p - 1, p - 1))
+    F = forward_measure(A, phi, p)
+    for _ in range(5):
+        dF = rng.normal(size=F.shape) + 1j * rng.normal(size=F.shape)
+        error = np.linalg.norm(recover_matrix(F + dF, phi, p) - A)
+        assert error <= bound * np.linalg.norm(dF) * (1 + 1e-10)
+    if p <= 13:  # attained for the dense map's left singular vector of its smallest value
+        u = np.linalg.svd(oracle_full_map(phi, p))[0][:, (p - 1) ** 2 - 1]
+        assert abs(np.linalg.norm(recover_matrix(u, phi, p)) - bound) <= 1e-10 * bound
+
+
 def round_trip_peak(p):
     """(tracemalloc peak in bytes, relative error) of one round trip at p."""
     phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
