@@ -290,15 +290,10 @@ def verify_counterexample_n3() -> CounterexampleReport:
 
     # |y_l - y_k|^2 + a^2 = |z_l - z_k|^2 + b^2 and the matching real parts
     err = 0.0
-    for l in range(3):
-        for k in range(3):
-            if l == k:
-                continue
-            err = max(err, abs((abs(y[l] - y[k]) ** 2 + a**2) - (abs(z[l] - z[k]) ** 2 + b**2)))
-            err = max(
-                err,
-                abs((np.conj(a) * (y[l] - y[k])).real - (np.conj(b) * (z[l] - z[k])).real),
-            )
+    for l, k in permutations(range(3), 2):
+        dy, dz = y[l] - y[k], z[l] - z[k]
+        err = max(err, abs((abs(dy) ** 2 + a**2) - (abs(dz) ** 2 + b**2)),
+                  abs((np.conj(a) * dy).real - (np.conj(b) * dz).real))
     identities_ok = err < 1e-12
 
     # no single unit scalar (with or without conjugation) maps (y, a) to (z, b)

@@ -16,6 +16,11 @@ inverse of B_phi; applying S* reassembles A.  Steps 1 and 2 are each one
 product with an operator built once per generator.  Phase retrieval of a
 vector f needs only the column of A = f f^H at the largest diagonal entry.
 
+Recovery is the least-squares inverse of a map from (p-1)^2 unknowns to p(p-1) measurements,
+so its residual F - forward(recover(F)) lies in the (p-1)-dimensional cokernel: step 1 fits
+exactly, and step 2 leaves the part of pi_hat0(F) along the unit left null vector u of B_phi,
+of norm ||pi_hat0(F) u[::-1]|| / sqrt(p), read off without a second forward map.
+
 An independent oracle (the explicit p(p-1) x (p-1)^2 measurement matrix and
 its pseudo-inverse) lives in :mod:`affinephase.reference`; it shares no code
 path with the structured algorithm.
@@ -35,14 +40,6 @@ from .group_fourier import _analysis, _frame_coefficients, _synthesis
 from .primefield import inverse_table, root_powers, validate_prime
 
 
-def _check_phi(phi, p: int) -> tuple[np.ndarray, int]:
-    p = validate_prime(p)
-    phi = require_finite("phi", phi)
-    if phi.shape != (p - 1,):
-        raise ValueError(f"generator must live on {{1..{p - 1}}}, got shape {phi.shape}")
-    return phi, p
-
-
 @dataclass(frozen=True)
 class GeneratorReport:
     p: int
@@ -57,8 +54,8 @@ class GeneratorReport:
 class _GeneratorPlan:
     """What the forward map and recovery need of one generator: the character sums
     c = c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}, the matrix
-    B = B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}, and on first
-    use the left inverse of B_phi and the kernel K of step 1, all read-only."""
+    B = B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}, and on first use
+    the left inverse and left null vector of B_phi and the kernel K of step 1, all read-only."""
 
     def __init__(self, phi: np.ndarray, p: int):
         self.phi, self.p = phi, p
@@ -69,16 +66,19 @@ class _GeneratorPlan:
             a.setflags(write=False)
 
     @cached_property
-    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None]:
+    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None,
+                               np.ndarray | None]:
         """Both admissibility conditions; W = Omega0^T (B_phi^dagger)^* Omega1 / p, so that
-        A_2' = pi_hat0(F) W (None when the rank is short); and the kernel of step 1,
+        A_2' = pi_hat0(F) W (None when the rank is short); the kernel of step 1,
         a_1 = K sum_k F(k, .), K = chi^T diag(1/c) chi / (p(p-1)), whose entry [m-1, l-1]
-        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes).
+        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes); and u[::-1],
+        u the unit left null vector of B_phi (None with W), B_phi^H u = 0.
 
         conj(B[::-1]) = B[:, ::-1], so with J the reversal and Q_n = e^{-i pi/4}(I_n + iJ_n)/sqrt 2
         unitary, Q_{p-1}^H B Q_{p-2} = B_r = Re B + Im B[::-1] is real.  One QR of B_r gives
         Wr = (B_r^dagger)^T, and sigma_min(B) >= 1/||Wr||_F certifies rank p-2; only when
-        that fails are the singular values of R counted."""
+        that fails are the singular values of R counted.  The coordinate vector least in the
+        span of Qr, projected off it, is q with B_r^T q = 0, so u[::-1] = conj(Q_{p-1} q)."""
         p, c, B = self.p, self.c, self.B
         scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
         cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
@@ -95,20 +95,25 @@ class _GeneratorPlan:
         report = GeneratorReport(p=p, cond_i_values=c, cond_i_holds=cond_i, b_phi=B,
                                  b_phi_rank=rank, cond_ii_holds=cond_ii,
                                  admissible=cond_i and cond_ii)
-        W = None
+        W = ur = None
         if cond_ii:
             # (B^dagger)^H back from Wr, with Omega0^T reversing its rows and Omega1, an
             # involution, gathering its columns
             W = (Wr[::-1] + Wr[:, ::-1]) + 1j * (Wr - Wr[::-1, ::-1])
             W = W[:, inverse_table(p)[1:-1] - 1] / (2 * p)
-            W.setflags(write=False)
+            i = np.argmin(np.einsum("ij,ij->i", Qr, Qr))  # ||q||^2 = 1 - ||Qr[i]||^2 >= 1/(p-1)
+            q = -(Qr @ Qr[i])
+            q[i] += 1
+            ur = (q - 1j * q[::-1]) * ((0.5 + 0.5j) * (q @ q) ** -0.5)  # e^{i pi/4}/sqrt 2
+            for a in (W, ur):
+                a.setflags(write=False)
         K = None
         if cond_i:
             kappa = np.empty(p - 1, dtype=complex)
             kappa[root_powers(p)] = np.fft.ifft(1 / c) / p
             K = kappa[index_tables(p).dilation]
             K.setflags(write=False)
-        return report, W, K
+        return report, W, K, ur
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -121,7 +126,9 @@ def _generator_plan(p: int, phi_bytes: bytes) -> _GeneratorPlan:
 
 def _plan(phi, p: int) -> _GeneratorPlan:
     """Validate p and phi, then find or build their plan."""
-    phi, p = _check_phi(phi, p)
+    p, phi = validate_prime(p), require_finite("phi", phi)
+    if phi.shape != (p - 1,):
+        raise ValueError(f"generator must live on {{1..{p - 1}}}, got shape {phi.shape}")
     return _generator_plan(p, phi.tobytes())
 
 
@@ -169,13 +176,12 @@ def canonical_time_generator(p: int) -> np.ndarray:
     return psi
 
 
-def frame_vectors(phi, p: int) -> np.ndarray:
-    """All orbit vectors pi_hat0(k,l) phi stacked in canonical group order:
-    row (l-1)p + k holds m -> e^{-2 pi i km/p} phi(lm)."""
-    phi, p = _check_phi(phi, p)
-    km = np.outer(np.arange(p), np.arange(1, p)) % p
-    W = np.exp(-2j * np.pi * km / p)[None, :, :] * phi[index_tables(p).dilation][:, None, :]
-    return W.reshape(p * (p - 1), p - 1)
+def __getattr__(name: str):
+    """``frame_vectors``, now an oracle in :mod:`affinephase.reference`, for perfbench's tests."""
+    if name == "frame_vectors":
+        from .reference import frame_vectors
+        return frame_vectors
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def forward_measure(A, phi, p: int) -> np.ndarray:
@@ -199,13 +205,13 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
 
 def _recover_steps(F, phi, p: int):
     """Validate, then steps (1) and (2) from one FFT over k per l (group_fourier's
-    analysis kernel): (p, phi, F, W, a_1, X) with A_2' = X @ W.  Bin 0 holds
+    analysis kernel): (p, phi, F, W, u[::-1], a_1, X) with A_2' = X @ W.  Bin 0 holds
     sum_k F(k,l), which the plan's K takes to a_1; the other bins give X = pi_hat0(F)."""
     plan = _plan(phi, p)
     p, phi, F = plan.p, plan.phi, require_finite("F", F)
     if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report, W, K = plan.factors
+    report, W, K, ur = plan.factors
     if not report.admissible:
         failed = ["(i) a character sum c_phi vanishes"] * (not report.cond_i_holds)
         failed += [f"(ii) rank(B_phi) = {report.b_phi_rank} < {p - 2}"] * (not report.cond_ii_holds)
@@ -218,7 +224,7 @@ def _recover_steps(F, phi, p: int):
     # the prefactor follows from Schur orthogonality of the unnormalized
     # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  The plan's W is the
     # whole product right of pi_hat0(F), Omega0^T and Omega1 included.
-    return p, phi, F, W, a1, M
+    return p, phi, F, W, ur, a1, M
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:
@@ -229,8 +235,15 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     inverse of B_phi, (3) A = S*((a_1 | A_2')).  A stack F of shape
     (..., p(p-1)) gives (..., p-1, p-1); B_phi is factored once per generator.
     """
-    *_, W, a1, X = _recover_steps(F, phi, p)
-    return s_inverse_apply(np.concatenate([a1[..., None], X @ W], axis=-1))
+    return _recover_matrix(F, phi, p)[0]
+
+
+def _recover_matrix(F, phi, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, ||F - forward_measure(A)|| per record) for A = recover_matrix(F): the residual of
+    the least-squares fit is ||X u[::-1]|| / sqrt(p), one product with the plan's u[::-1]."""
+    p, _, _, W, ur, a1, X = _recover_steps(F, phi, p)
+    A = s_inverse_apply(np.concatenate([a1[..., None], X @ W], axis=-1))
+    return A, np.linalg.norm(X @ ur, axis=-1) / p**0.5
 
 
 def canonical_phase(v) -> np.ndarray:
@@ -268,7 +281,12 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
     exceed RANK_ONE_RTOL.  O(p^2 log p) per record.  A stack F of shape (..., p(p-1))
     gives (..., p-1); rank one is tested per record, and the error names the first failure.
     """
-    p, phi, F, W, a1, X = _recover_steps(F, phi, p)
+    return _recover_vector(F, phi, p)[0]
+
+
+def _recover_vector(F, phi, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f, ||fit - F|| per record) for f = recover_vector(F), from its one forward fit."""
+    p, phi, F, W, _, a1, X = _recover_steps(F, phi, p)
     a1, X = a1.reshape(-1, p - 1), X.reshape(-1, p - 1, p - 1)
     n = np.arange(len(a1))
     # a_1(m) = (SA)(m, 1) = A(-m, -m): the largest diagonal entry is A(j, j) = a_1(-j)
@@ -280,13 +298,12 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
     # f = A(:, j) / sqrt(A(j, j)); an all-zero diagonal divides by inf and gives f = 0
     d = np.sqrt(np.where(a1.real[n, top] > 0, a1.real[n, top], np.inf))[:, None]
     f = canonical_phase(col / d).reshape(F.shape[:-1] + (-1,))
-    _check_forward_residual(np.abs(_frame_coefficients(f, phi, p)) ** 2, F)
-    return f
+    return f, _check_forward_residual(np.abs(_frame_coefficients(f, phi, p)) ** 2, F)
 
 
-def _check_forward_residual(fitted: np.ndarray, F: np.ndarray) -> None:
-    """InconsistentDataError, naming the first failing record of a stack, if ||fitted - F||
-    along the last axis exceeds RANK_ONE_RTOL * ||F||; an all-zero F passes an all-zero fit."""
+def _check_forward_residual(fitted: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """||fitted - F|| along the last axis; InconsistentDataError, naming the first failing record
+    of a stack, if it exceeds RANK_ONE_RTOL * ||F||.  An all-zero F passes an all-zero fit."""
     e2, F2 = ((np.abs(x) ** 2).sum(axis=-1) for x in (fitted - F, F))
     bad = e2 > RANK_ONE_RTOL**2 * F2
     if bad.any():
@@ -296,3 +313,4 @@ def _check_forward_residual(fitted: np.ndarray, F: np.ndarray) -> None:
             f"leaves relative forward residual {np.sqrt(e2[i] / F2[i]):.3e} > RANK_ONE_RTOL = "
             f"{RANK_ONE_RTOL:.0e}",
             record=i or None)
+    return np.sqrt(e2)

@@ -3,10 +3,11 @@
 Nothing in the fast path imports this module.  It holds the group law and
 enumeration of G = Z_p x| Z_p*, the dense character table of Z_p*, the dense
 matrices of pi, pi_hat and pi_hat0, the conjugation actions rho1/rho2, the
-permutations Omega0 and Omega1, the explicit measurement matrix with its
-least-squares inverse, the Plancherel identity, the Schroedinger matrices of
-the Heisenberg group and the dense DFT matrix.  Conventions are those of
-:mod:`affinephase.affine`.
+permutations Omega0 and Omega1, the orbit vectors pi_hat0(k,l) phi, the explicit
+measurement matrix with its least-squares inverse, the Plancherel identity, the
+Schroedinger matrices of the Heisenberg group and the dense DFT matrix.
+Conventions are those of :mod:`affinephase.affine`, whose index tables no
+oracle reads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import RANK_RTOL, TABLE_CACHE_SIZE, InadmissibleGeneratorError
 from .group_fourier import transform
 from .heisenberg import _check_n
 from .primefield import inverse_table, primitive_root, validate_prime
-from .recovery import frame_vectors
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -162,6 +162,20 @@ def omega1(p: int) -> np.ndarray:
     n = np.arange(1, p - 1)
     M[n - 1, inverse_table(p)[n] - 1] = 1.0  # column index of label 1 + n^-1
     return M
+
+
+def frame_vectors(phi, p: int) -> np.ndarray:
+    """All orbit vectors pi_hat0(k,l) phi stacked in canonical group order:
+    row (l-1)p + k holds m -> e^{-2 pi i km/p} phi(lm), with lm reduced mod p here."""
+    p = validate_prime(p)
+    phi = np.asarray(phi, dtype=complex)
+    if phi.shape != (p - 1,):
+        raise ValueError(f"generator must live on {{1..{p - 1}}}, got shape {phi.shape}")
+    m = np.arange(1, p)
+    km = np.outer(np.arange(p), m) % p
+    lm = np.outer(m, m) % p  # row l-1, column m-1
+    W = np.exp(-2j * np.pi * km / p)[None, :, :] * phi[lm - 1][:, None, :]
+    return W.reshape(p * (p - 1), p - 1)
 
 
 def oracle_full_map(phi, p: int) -> np.ndarray:

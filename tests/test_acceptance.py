@@ -32,7 +32,6 @@ from affinephase.recovery import (
     canonical_time_generator,
     check_generator,
     forward_measure,
-    frame_vectors,
     phase_distance,
     recover_matrix,
     recover_vector,
@@ -40,6 +39,7 @@ from affinephase.recovery import (
 from affinephase.reference import (
     dft_matrix,
     enumerate_group,
+    frame_vectors,
     omega1,
     oracle_full_map,
     pi_hat0_matrix,

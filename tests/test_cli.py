@@ -14,10 +14,10 @@ from affinephase.cli import _emit, _read_matrix, main
 from affinephase.recovery import (
     canonical_generator,
     canonical_time_generator,
-    frame_vectors,
     phase_distance,
     recover_matrix,
 )
+from affinephase.reference import frame_vectors
 
 RNG = np.random.default_rng(20240817)
 
@@ -285,7 +285,8 @@ def test_exit_code_2_names_a_missing_heisenberg_option(capsys, tmp_path, action,
     assert capsys.readouterr().err == f"error: heisenberg {action} requires --{option}\n"
 
 
-def test_heisenberg_recover_reports_the_relative_residual(capsys, tmp_path):
+def test_heisenberg_recover_reports_the_min_ambiguity_modulus_of_check(capsys, tmp_path):
+    # the map is square and invertible, so recover prints the plan's min |A_phi|, not a residual
     n = 5
     phi = RNG.normal(size=n) + 1j * RNG.normal(size=n)
     A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
@@ -296,8 +297,9 @@ def test_heisenberg_recover_reports_the_relative_residual(capsys, tmp_path):
     code, doc = run(capsys, "heisenberg", "--n", str(n), "recover", "--phi", str(paths["phi"]),
                     "--measurements", str(paths["F"]))
     assert code == 0 and np.allclose(parse_matrix(doc), A, atol=1e-9)
-    assert doc["relative_residual"] == pytest.approx(doc["residual"] / np.linalg.norm(F), rel=1e-12)
-    assert doc["relative_residual"] < 1e-10
+    assert "residual" not in doc and "relative_residual" not in doc
+    code, check = run(capsys, "heisenberg", "--n", str(n), "check", "--phi", str(paths["phi"]))
+    assert code == 0 and doc["min_ambiguity_modulus"] == check["min_ambiguity_modulus"]
 
 
 def test_diagnostics_complement(capsys, tmp_path):
@@ -400,8 +402,7 @@ A = np.arange((p - 1) ** 2).reshape(p - 1, p - 1) + 1j
 F = recovery.forward_measure(A, phi, p)
 recovery.recover_matrix(F, phi, p)
 f = np.arange(1, p) + 0.5j
-W = recovery.frame_vectors(phi, p)
-recovery.recover_vector(np.abs(W.conj() @ f) ** 2, phi, p)
+recovery.recover_vector(recovery.forward_measure(np.outer(f, f.conj()), phi, p).real, phi, p)
 phi_h = np.arange(1, n + 1) + 1j * np.arange(n) ** 2
 heisenberg.h_recover(heisenberg.h_forward(np.eye(n), phi_h), phi_h)
 print("affinephase.reference" in sys.modules)
@@ -503,6 +504,41 @@ def test_heisenberg_check_builds_one_ambiguity_table(capsys, tmp_path, monkeypat
     write_vector(phi_path, np.ones(4), range(4))  # its ambiguity function vanishes
     code, doc = run(capsys, "heisenberg", "--n", "4", "check", "--phi", str(phi_path))
     assert code == 0 and doc["admissible"] is False and len(calls) == 1
+
+
+def counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from here on."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_no_recover_command_fits_the_data_twice(capsys, tmp_path, monkeypatch):
+    # each residual comes from the recovery itself: no forward map runs after it
+    p, n = 13, 6
+    paths, docs = write_affine_inputs(tmp_path, p)
+    write_docs(paths, docs)
+    forward = counted(monkeypatch, recovery, "forward_measure")
+    code, doc = run(capsys, "recover-matrix", "--p", str(p), "--phi", str(paths["phi"]),
+                    "--measurements", str(paths["F"]))
+    assert code == 0 and doc["relative_residual"] < 1e-10 and forward == []
+
+    f = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    F = np.abs(frame_vectors(canonical_generator(p), p).conj() @ f) ** 2
+    meas = tmp_path / "moduli.json"
+    meas.write_text(json.dumps({"p": p, "order": "l-outer-k-inner", "values": list(F)}))
+    coefficients = counted(monkeypatch, recovery, "_frame_coefficients")
+    code, doc = run(capsys, "recover-vector", "--p", str(p), "--phi", str(paths["phi"]),
+                    "--measurements", str(meas))
+    assert code == 0 and doc["relative_residual"] < 1e-10 and len(coefficients) == 1
+
+    phi = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+    write_vector(paths["phi"], phi, range(n))
+    write_matrix(paths["F"], heisenberg.h_forward(np.eye(n), phi))
+    h_forward = counted(monkeypatch, heisenberg, "h_forward")
+    code, doc = run(capsys, "heisenberg", "--n", str(n), "recover", "--phi", str(paths["phi"]),
+                    "--measurements", str(paths["F"]))
+    assert code == 0 and np.allclose(parse_matrix(doc), np.eye(n), atol=1e-9) and h_forward == []
 
 
 def write_affine_inputs(tmp_path, p):

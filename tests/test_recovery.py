@@ -9,6 +9,7 @@ from affinephase.errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE,
 from affinephase.primefield import inverse_table, primitive_root, root_powers
 from affinephase.recovery import (
     _generator_plan,
+    _recover_matrix,
     b_phi,
     c_phi,
     canonical_generator,
@@ -16,14 +17,13 @@ from affinephase.recovery import (
     canonical_time_generator,
     check_generator,
     forward_measure,
-    frame_vectors,
     phase_distance,
     recover_matrix,
     recover_vector,
 )
 from affinephase.affine import index_tables
-from affinephase.reference import (character_table, dft_matrix, enumerate_group, oracle_full_map,
-                                   oracle_recover, pi_hat0_matrix)
+from affinephase.reference import (character_table, dft_matrix, enumerate_group, frame_vectors,
+                                   oracle_full_map, oracle_recover, pi_hat0_matrix)
 
 RNG = np.random.default_rng(20240817)
 PRIMES = (3, 5, 7)
@@ -115,7 +115,7 @@ def test_plan_character_sums_and_step_one_kernel_match_the_dense_table(p):
 def test_generator_failing_condition_i_has_no_step_one_kernel(p):
     # |phi| = 1 puts equal weight on every l, so c_phi(chi_j) = 0 for j != 0
     phi = np.exp(2j * np.pi * RNG.uniform(size=p - 1))
-    report, W, K = _generator_plan(p, phi.tobytes()).factors
+    report, W, K, _ = _generator_plan(p, phi.tobytes()).factors
     assert not report.cond_i_holds and K is None
     with pytest.raises(InadmissibleGeneratorError) as exc:
         recover_matrix(np.zeros(p * (p - 1)), phi, p)
@@ -275,6 +275,24 @@ def test_recovery_error_bound(p):
     if p <= 13:  # attained for the dense map's left singular vector of its smallest value
         u = np.linalg.svd(oracle_full_map(phi, p))[0][:, (p - 1) ** 2 - 1]
         assert abs(np.linalg.norm(recover_matrix(u, phi, p)) - bound) <= 1e-10 * bound
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 61, 211])
+def test_cokernel_residual_equals_the_refit(p):
+    # forward_measure is the oracle: the residual ||F - forward(recover(F))|| of random F,
+    # one record or a stack, is read off the plan's left null vector u of B_phi
+    rng = np.random.default_rng(p)
+    for phi in generators(p):
+        B, ur = b_phi(phi, p), _generator_plan(p, phi.tobytes()).factors[3]
+        assert abs(np.linalg.norm(ur) - 1) <= 1e-14
+        assert np.linalg.norm(B.conj().T @ ur[::-1]) <= 1e-13 * np.linalg.norm(B)
+        F = rng.normal(size=(2, 3, p * (p - 1))) + 1j * rng.normal(size=(2, 3, p * (p - 1)))
+        A, residual = _recover_matrix(F, phi, p)
+        assert residual.shape == (2, 3) and np.array_equal(A, recover_matrix(F, phi, p))
+        for i in np.ndindex(2, 3):
+            refit = np.linalg.norm(F[i] - forward_measure(A[i], phi, p))
+            assert abs(residual[i] - refit) <= 1e-12 * refit
+            assert abs(_recover_matrix(F[i], phi, p)[1] - refit) <= 1e-12 * refit
 
 
 def round_trip_peak(p):
@@ -530,9 +548,9 @@ def test_generator_plans_are_bounded_and_read_only():
     assert plan.factors[0] is report
     arrays = (plan.phi, plan.c, plan.B, report.cond_i_values, report.b_phi, *plan.factors[1:])
     assert not any(a.flags.writeable for a in arrays)
-    # errors.MAX_SIZE: about 48 (p-1)^2 bytes per cached generator
+    # errors.MAX_SIZE: 48 (p-1)^2 bytes per cached generator, and 16 (p-1) for u
     held = (plan.phi, plan.c, plan.B, *plan.factors[1:])
-    assert sum(a.nbytes for a in held) <= 48 * (p - 1) ** 2
+    assert sum(a.nbytes for a in held) == 48 * (p - 1) ** 2 + 16 * (p - 1)
 
 
 @pytest.mark.parametrize("p", [5, 13])
