@@ -33,18 +33,21 @@ PAULI_MATCH_RTOL = 1e-10
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
 #: is about 0.9 GB at this limit.  Each cached p keeps its three index tables,
-#: 3 (p-1)^2 intp entries or 24 (p-1)^2 bytes, and its O(p) root_powers:
-#: about 147 MB per p at p = 2477, the largest prime below this limit.  Each cached
-#: generator keeps phi, c_phi, B_phi, the left inverse W of B_phi and the step-1 kernel K,
-#: 48 (p-1)^2 bytes (~294 MB at p = 2477), and the left null vector u of B_phi, 16 (p-1)
-#: bytes.  A cached Heisenberg plan holds one complex n x n table, 16 n^2 bytes, and each
-#: cached n its three intp gathers, 24 n^2 bytes: 100 and 150 MB at n = 2500.  Checked
-#: before any primality test.
+#: 3 (p-1)^2 intp entries or 24 (p-1)^2 bytes, and its O(p) root_powers: about 147 MB per p
+#: at p = 2477, the largest prime below this limit; up to DFT_PRODUCT_MAX_P it also keeps the
+#: DFT matrix and its conjugate, 32 p^2 bytes (0.33 MB at p = 101).  Each cached generator keeps
+#: phi, c_phi, B_phi, the left inverse W of B_phi and the step-1 kernel K, 48 (p-1)^2 bytes
+#: (~294 MB at p = 2477), and once asked for, the left null vector u of B_phi, 16 (p-1) bytes.
+#: A cached Heisenberg plan holds one complex n x n table, 16 n^2 bytes, and each cached n its
+#: three intp gathers, 24 n^2 bytes: 100 and 150 MB at n = 2500.  Checked before any primality test.
 MAX_SIZE = 2500
 
 #: How many moduli (and generators) keep their read-only tables between calls (least
 #: recently used first out); two, so that alternating between two rebuilds nothing.
 TABLE_CACHE_SIZE = 2
+
+#: The largest p whose DFTs over k in the affine kernels are one product with a cached DFT matrix.
+DFT_PRODUCT_MAX_P = 101
 
 
 def require_finite(name: str, a) -> np.ndarray:

@@ -55,7 +55,7 @@ class _GeneratorPlan:
     """What the forward map and recovery need of one generator: the character sums
     c = c_phi(chi_j) = sum_l |phi(-l)|^2 chi_j(l), j in {0..p-2}, the matrix
     B = B_phi(m,n) = phi(mn) conj(phi(m(n+1))) on {1..p-1} x {1..p-2}, and on first use
-    the left inverse and left null vector of B_phi and the kernel K of step 1, all read-only."""
+    the left inverse of B_phi, the kernel K of step 1 and the left null vector u, all read-only."""
 
     def __init__(self, phi: np.ndarray, p: int):
         self.phi, self.p = phi, p
@@ -66,19 +66,16 @@ class _GeneratorPlan:
             a.setflags(write=False)
 
     @cached_property
-    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None,
-                               np.ndarray | None]:
+    def factors(self) -> tuple[GeneratorReport, np.ndarray | None, np.ndarray | None]:
         """Both admissibility conditions; W = Omega0^T (B_phi^dagger)^* Omega1 / p, so that
-        A_2' = pi_hat0(F) W (None when the rank is short); the kernel of step 1,
+        A_2' = pi_hat0(F) W (None when the rank is short); and the kernel of step 1,
         a_1 = K sum_k F(k, .), K = chi^T diag(1/c) chi / (p(p-1)), whose entry [m-1, l-1]
-        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes); and u[::-1],
-        u the unit left null vector of B_phi (None with W), B_phi^H u = 0.
+        is kappa(ml), kappa(g^t) = ifft(1/c)[t] / p (None when a c_phi vanishes).
 
         conj(B[::-1]) = B[:, ::-1], so with J the reversal and Q_n = e^{-i pi/4}(I_n + iJ_n)/sqrt 2
         unitary, Q_{p-1}^H B Q_{p-2} = B_r = Re B + Im B[::-1] is real.  One QR of B_r gives
         Wr = (B_r^dagger)^T, and sigma_min(B) >= 1/||Wr||_F certifies rank p-2; only when
-        that fails are the singular values of R counted.  The coordinate vector least in the
-        span of Qr, projected off it, is q with B_r^T q = 0, so u[::-1] = conj(Q_{p-1} q)."""
+        that fails are the singular values of R counted."""
         p, c, B = self.p, self.c, self.B
         scale = max(float(np.vdot(self.phi, self.phi).real), np.finfo(float).tiny)
         cond_i = bool(np.all(np.abs(c) > RANK_RTOL * scale))
@@ -95,25 +92,32 @@ class _GeneratorPlan:
         report = GeneratorReport(p=p, cond_i_values=c, cond_i_holds=cond_i, b_phi=B,
                                  b_phi_rank=rank, cond_ii_holds=cond_ii,
                                  admissible=cond_i and cond_ii)
-        W = ur = None
+        W = None
         if cond_ii:
             # (B^dagger)^H back from Wr, with Omega0^T reversing its rows and Omega1, an
             # involution, gathering its columns
             W = (Wr[::-1] + Wr[:, ::-1]) + 1j * (Wr - Wr[::-1, ::-1])
             W = W[:, inverse_table(p)[1:-1] - 1] / (2 * p)
-            i = np.argmin(np.einsum("ij,ij->i", Qr, Qr))  # ||q||^2 = 1 - ||Qr[i]||^2 >= 1/(p-1)
-            q = -(Qr @ Qr[i])
-            q[i] += 1
-            ur = (q - 1j * q[::-1]) * ((0.5 + 0.5j) * (q @ q) ** -0.5)  # e^{i pi/4}/sqrt 2
-            for a in (W, ur):
-                a.setflags(write=False)
+            W.setflags(write=False)
         K = None
         if cond_i:
             kappa = np.empty(p - 1, dtype=complex)
             kappa[root_powers(p)] = np.fft.ifft(1 / c) / p
             K = kappa[index_tables(p).dilation]
             K.setflags(write=False)
-        return report, W, K, ur
+        return report, W, K
+
+    @cached_property
+    def ur(self) -> np.ndarray:
+        """u[::-1], u the unit left null vector of B = B_phi of an admissible plan: e_i less
+        V B^H e_i = B B^dagger e_i at the row i of least leverage, V = (B^dagger)^H, twice."""
+        V, Bc = self.p * self.factors[1][::-1, inverse_table(self.p)[1:-1] - 1], self.B.conj()
+        u = np.eye(1, len(V), np.argmin(np.einsum("ij,ij->i", V, Bc).real), dtype=complex)[0]
+        for _ in range(2):
+            u -= V @ (u @ Bc)
+        ur = u[::-1] / np.linalg.norm(u)
+        ur.setflags(write=False)
+        return ur
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -190,8 +194,8 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
     :func:`recover_matrix` run backwards: with SA = (a_1 | A_2'),
     pi_hat0(F) = p A_2' (Omega0^T B_phi Omega1)^H.  Summed over k, the factor
     e^{-2 pi i k(n-m)/p} of F(k,l) vanishes unless m = n, so only the diagonal of A
-    is left: sum_k F(k,l) = p sum_m |phi(lm)|^2 A(m,m).  Both go to one inverse FFT
-    over k per l.  One GEMM and p-1 FFTs of length p: O(p^3) time, O(p^2) memory.
+    is left: sum_k F(k,l) = p sum_m |phi(lm)|^2 A(m,m).  Both go to one inverse DFT
+    over k per l.  One GEMM and p-1 DFTs of length p: O(p^3) time, O(p^2) memory.
     """
     plan = _plan(phi, p)
     p, A = plan.p, require_finite("A", A)
@@ -204,14 +208,14 @@ def forward_measure(A, phi, p: int) -> np.ndarray:
 
 
 def _recover_steps(F, phi, p: int):
-    """Validate, then steps (1) and (2) from one FFT over k per l (group_fourier's
-    analysis kernel): (p, phi, F, W, u[::-1], a_1, X) with A_2' = X @ W.  Bin 0 holds
+    """Validate, then steps (1) and (2) from one DFT over k per l (group_fourier's
+    analysis kernel): (p, plan, F, W, a_1, X) with A_2' = X @ W.  Bin 0 holds
     sum_k F(k,l), which the plan's K takes to a_1; the other bins give X = pi_hat0(F)."""
     plan = _plan(phi, p)
     p, phi, F = plan.p, plan.phi, require_finite("F", F)
     if F.shape[-1:] != (p * (p - 1),):
         raise ValueError(f"measurements must have length p(p-1) = {p * (p - 1)}")
-    report, W, K, ur = plan.factors
+    report, W, K = plan.factors
     if not report.admissible:
         failed = ["(i) a character sum c_phi vanishes"] * (not report.cond_i_holds)
         failed += [f"(ii) rank(B_phi) = {report.b_phi_rank} < {p - 2}"] * (not report.cond_ii_holds)
@@ -224,7 +228,7 @@ def _recover_steps(F, phi, p: int):
     # the prefactor follows from Schur orthogonality of the unnormalized
     # pi_hat0 coefficients (pi_hat0(F) = p * A_2' (C_phi')^*).  The plan's W is the
     # whole product right of pi_hat0(F), Omega0^T and Omega1 included.
-    return p, phi, F, W, ur, a1, M
+    return p, plan, F, W, a1, M
 
 
 def recover_matrix(F, phi, p: int) -> np.ndarray:
@@ -235,15 +239,15 @@ def recover_matrix(F, phi, p: int) -> np.ndarray:
     inverse of B_phi, (3) A = S*((a_1 | A_2')).  A stack F of shape
     (..., p(p-1)) gives (..., p-1, p-1); B_phi is factored once per generator.
     """
-    return _recover_matrix(F, phi, p)[0]
+    return _recover_matrix(F, phi, p, residual=False)[0]
 
 
-def _recover_matrix(F, phi, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, ||F - forward_measure(A)|| per record) for A = recover_matrix(F): the residual of
-    the least-squares fit is ||X u[::-1]|| / sqrt(p), one product with the plan's u[::-1]."""
-    p, _, _, W, ur, a1, X = _recover_steps(F, phi, p)
+def _recover_matrix(F, phi, p: int, residual: bool = True):
+    """(A, ||F - forward_measure(A)|| per record, or None without ``residual``) for A =
+    recover_matrix(F): the residual of the fit is ||X u[::-1]|| / sqrt(p), from the plan's u."""
+    p, plan, _, W, a1, X = _recover_steps(F, phi, p)
     A = s_inverse_apply(np.concatenate([a1[..., None], X @ W], axis=-1))
-    return A, np.linalg.norm(X @ ur, axis=-1) / p**0.5
+    return A, np.linalg.norm(X @ plan.ur, axis=-1) / p**0.5 if residual else None
 
 
 def canonical_phase(v) -> np.ndarray:
@@ -275,10 +279,10 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
     """Phase retrieval: recover f on {1..p-1} (up to global phase) from
     F = |<f, pi_hat0(k,l) phi>|^2.
 
-    Step 1 of recovery gives the diagonal |f(m)|^2 of A = f f^H; only the column at
-    its largest entry j is gathered, through S*, and f = A(:, j) / sqrt(A(j, j)) in
-    canonical phase.  Rank one: the relative forward residual of f against F must not
-    exceed RANK_ONE_RTOL.  O(p^2 log p) per record.  A stack F of shape (..., p(p-1))
+    Step 1 of recovery gives the diagonal |f(m)|^2 of A = f f^H; only the column at its largest
+    entry j is gathered, through S*, and f = A(:, j) / sqrt(A(j, j)) in canonical phase.  Rank
+    one: the relative forward residual of f against F must not exceed RANK_ONE_RTOL.
+    O(p^2 log p) per record, O(p^3) up to DFT_PRODUCT_MAX_P.  A stack F of shape (..., p(p-1))
     gives (..., p-1); rank one is tested per record, and the error names the first failure.
     """
     return _recover_vector(F, phi, p)[0]
@@ -286,7 +290,7 @@ def recover_vector(F, phi, p: int) -> np.ndarray:
 
 def _recover_vector(F, phi, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(f, ||fit - F|| per record) for f = recover_vector(F), from its one forward fit."""
-    p, phi, F, W, _, a1, X = _recover_steps(F, phi, p)
+    p, plan, F, W, a1, X = _recover_steps(F, phi, p)
     a1, X = a1.reshape(-1, p - 1), X.reshape(-1, p - 1, p - 1)
     n = np.arange(len(a1))
     # a_1(m) = (SA)(m, 1) = A(-m, -m): the largest diagonal entry is A(j, j) = a_1(-j)
@@ -298,7 +302,7 @@ def _recover_vector(F, phi, p: int) -> tuple[np.ndarray, np.ndarray]:
     # f = A(:, j) / sqrt(A(j, j)); an all-zero diagonal divides by inf and gives f = 0
     d = np.sqrt(np.where(a1.real[n, top] > 0, a1.real[n, top], np.inf))[:, None]
     f = canonical_phase(col / d).reshape(F.shape[:-1] + (-1,))
-    return f, _check_forward_residual(np.abs(_frame_coefficients(f, phi, p)) ** 2, F)
+    return f, _check_forward_residual(np.abs(_frame_coefficients(f, plan.phi, p)) ** 2, F)
 
 
 def _check_forward_residual(fitted: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -1,11 +1,18 @@
+from itertools import count
+
 import numpy as np
 import pytest
 
-from affinephase.group_fourier import (AffineFourierCoefficients, _frame_coefficients, fourier_invert,
-                                      transform)
+from affinephase.errors import DFT_PRODUCT_MAX_P, TABLE_CACHE_SIZE
+from affinephase.group_fourier import (AffineFourierCoefficients, _analysis, _dft_matrices,
+                                      _frame_coefficients, _synthesis, fourier_invert, transform)
+from affinephase.primefield import is_prime
 from affinephase.reference import character_table, enumerate_group, pi_hat0_matrix, plancherel_sides
 
 RNG = np.random.default_rng(20240817)
+#: the primes either side of the crossover between the DFT product and numpy's FFT
+BELOW = max(q for q in range(3, DFT_PRODUCT_MAX_P + 1) if is_prime(q))
+ABOVE = next(q for q in count(DFT_PRODUCT_MAX_P + 1) if is_prime(q))
 
 
 def rand_group_function(p):
@@ -90,3 +97,67 @@ def test_character_sums_match_the_dense_table(p):
                      for x in enumerate_group(p)]) / (p * (p - 1))
     got = fourier_invert(AffineFourierCoefficients(p, s, M))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def fft_kernels(p):
+    """The three kernels' definitions by np.fft over k, with l and m spelled out: analysis
+    (F -> (sum_k F(k,l), pi_hat0(F)) on the last axis), synthesis and frame coefficients."""
+    l, m = np.meshgrid(np.arange(1, p), np.arange(1, p), indexing="ij")  # [l-1, m-1]
+    lm = l * m % p
+
+    def analysis(F):
+        G = np.fft.fft(F.reshape(F.shape[:-1] + (p - 1, p)), axis=-1)
+        M = np.empty(F.shape[:-1] + (p - 1, p - 1), dtype=complex)
+        M[..., m - 1, lm - 1] = G[..., l - 1, m]  # pi_hat0(F)[m-1, lm-1] at frequency m of row l
+        return G[..., 0], M
+
+    def synthesis(per_l, M):
+        G = np.empty((p - 1, p), dtype=complex)
+        G[:, 0], G[l - 1, m] = per_l, M[m - 1, lm - 1]
+        return np.fft.ifft(G, axis=-1).reshape(-1)
+
+    def frame(f, phi):
+        g = np.zeros(f.shape[:-1] + (p - 1, p), dtype=complex)
+        g[..., 1:] = f[..., None, :] * phi[lm - 1].conj()
+        return np.fft.ifft(g, axis=-1, norm="forward").reshape(f.shape[:-1] + (-1,))
+
+    return analysis, synthesis, frame
+
+
+@pytest.mark.parametrize("p", sorted({3, 13, 61, BELOW, ABOVE, 211}))
+def test_kernels_equal_their_fft_definitions_across_the_crossover(p):
+    # at p <= DFT_PRODUCT_MAX_P the DFT over k is one product with the cached DFT matrix, to
+    # rounding; above it the kernels run these same FFTs, so they agree bit for bit
+    analysis, synthesis, frame = fft_kernels(p)
+
+    def check(got, want):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert p <= DFT_PRODUCT_MAX_P or np.array_equal(got, want)
+
+    phi = RNG.normal(size=p - 1) + 1j * RNG.normal(size=p - 1)
+    for shape in ((), (2, 3)):
+        F = RNG.normal(size=shape + (p * (p - 1),)) + 1j * RNG.normal(size=shape + (p * (p - 1),))
+        for got, want in zip(_analysis(F, p), analysis(F)):
+            check(got, want)
+        f = RNG.normal(size=shape + (p - 1,)) + 1j * RNG.normal(size=shape + (p - 1,))
+        check(_frame_coefficients(f, phi, p), frame(f, phi))
+    per_l, M = analysis(F[0, 0])  # the synthesis kernel takes one record
+    check(_synthesis(per_l, M, p), synthesis(per_l, M))
+
+
+def test_dft_tables_are_bounded_read_only_and_only_below_the_crossover():
+    assert _dft_matrices.cache_info().maxsize == TABLE_CACHE_SIZE
+    _dft_matrices.cache_clear()
+    for p in (ABOVE, 211):
+        F = rand_group_function(p)
+        _synthesis(*_analysis(F, p), p)
+        _frame_coefficients(F[: p - 1], F[1:p], p)
+    assert _dft_matrices.cache_info().currsize == 0
+    for p in (3, 13, BELOW):
+        _analysis(rand_group_function(p), p)
+        D = _dft_matrices(p)
+        assert D.shape == (2, p, p) and not D.flags.writeable
+        assert np.abs(D[0] - np.fft.fft(np.eye(p))).max() <= 1e-14  # row k: e^{-2 pi i km/p}
+        assert np.array_equal(D[1], D[0].conj())
+    assert _dft_matrices.cache_info().currsize == TABLE_CACHE_SIZE

@@ -1,12 +1,13 @@
 import sys
 import tracemalloc
+from itertools import count
 
 import numpy as np
 import pytest
 
-from affinephase.errors import (RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE,
+from affinephase.errors import (DFT_PRODUCT_MAX_P, RANK_ONE_RTOL, RANK_RTOL, TABLE_CACHE_SIZE,
                                InadmissibleGeneratorError, InconsistentDataError)
-from affinephase.primefield import inverse_table, primitive_root, root_powers
+from affinephase.primefield import inverse_table, is_prime, primitive_root, root_powers
 from affinephase.recovery import (
     _generator_plan,
     _recover_matrix,
@@ -27,6 +28,8 @@ from affinephase.reference import (character_table, dft_matrix, enumerate_group,
 
 RNG = np.random.default_rng(20240817)
 PRIMES = (3, 5, 7)
+#: the first prime whose DFTs over k are numpy's FFTs rather than the cached DFT product
+ABOVE_CROSSOVER = next(q for q in count(DFT_PRODUCT_MAX_P + 1) if is_prime(q))
 
 
 def rand_matrix(d):
@@ -115,7 +118,7 @@ def test_plan_character_sums_and_step_one_kernel_match_the_dense_table(p):
 def test_generator_failing_condition_i_has_no_step_one_kernel(p):
     # |phi| = 1 puts equal weight on every l, so c_phi(chi_j) = 0 for j != 0
     phi = np.exp(2j * np.pi * RNG.uniform(size=p - 1))
-    report, W, K, _ = _generator_plan(p, phi.tobytes()).factors
+    report, W, K = _generator_plan(p, phi.tobytes()).factors
     assert not report.cond_i_holds and K is None
     with pytest.raises(InadmissibleGeneratorError) as exc:
         recover_matrix(np.zeros(p * (p - 1)), phi, p)
@@ -283,7 +286,7 @@ def test_cokernel_residual_equals_the_refit(p):
     # one record or a stack, is read off the plan's left null vector u of B_phi
     rng = np.random.default_rng(p)
     for phi in generators(p):
-        B, ur = b_phi(phi, p), _generator_plan(p, phi.tobytes()).factors[3]
+        B, ur = b_phi(phi, p), _generator_plan(p, phi.tobytes()).ur
         assert abs(np.linalg.norm(ur) - 1) <= 1e-14
         assert np.linalg.norm(B.conj().T @ ur[::-1]) <= 1e-13 * np.linalg.norm(B)
         F = rng.normal(size=(2, 3, p * (p - 1))) + 1j * rng.normal(size=(2, 3, p * (p - 1)))
@@ -448,7 +451,7 @@ def modulus_data(phi, p, f):
     return np.abs(f @ frame_vectors(phi, p).conj().T) ** 2
 
 
-@pytest.mark.parametrize("p", [3, 5, 13, 31])
+@pytest.mark.parametrize("p", [3, 5, 13, 31, ABOVE_CROSSOVER])
 def test_stacked_recovery_equals_per_record_loop(p):
     n = p * (p - 1)
     for phi in generators(p):
@@ -546,11 +549,15 @@ def test_generator_plans_are_bounded_and_read_only():
     report = check_generator(phi, p)
     plan = _generator_plan(p, phi.tobytes())
     assert plan.factors[0] is report
-    arrays = (plan.phi, plan.c, plan.B, report.cond_i_values, report.b_phi, *plan.factors[1:])
-    assert not any(a.flags.writeable for a in arrays)
-    # errors.MAX_SIZE: 48 (p-1)^2 bytes per cached generator, and 16 (p-1) for u
+    # errors.MAX_SIZE: 48 (p-1)^2 bytes per cached generator, and 16 (p-1) for u once asked for
     held = (plan.phi, plan.c, plan.B, *plan.factors[1:])
+    assert "ur" not in vars(plan) and sum(a.nbytes for a in held) == 48 * (p - 1) ** 2
+    recover_matrix(np.zeros(p * (p - 1)), phi, p)
+    assert "ur" not in vars(plan)
+    held += (plan.ur,)
     assert sum(a.nbytes for a in held) == 48 * (p - 1) ** 2 + 16 * (p - 1)
+    arrays = (report.cond_i_values, report.b_phi, *held)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("p", [5, 13])
