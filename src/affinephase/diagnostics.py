@@ -17,14 +17,15 @@ Permutations are given in one-line notation: a permutation h of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
 import numpy as np
 
 from . import recovery
-from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, ZERO_SUM_RTOL,
-                     InadmissibleGeneratorError, require_finite)
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, TABLE_CACHE_SIZE,
+                     ZERO_SUM_RTOL, InadmissibleGeneratorError, require_finite, require_real)
 from .group_fourier import _frame_coefficients
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator
@@ -168,8 +169,7 @@ def _rows_and_magnitudes(name: str, magnitudes, perms) -> tuple[np.ndarray, np.n
     H = _permutation_rows(perms)
     if len(H) == 0 or H.shape[1] < 3:
         raise ValueError(f"need a nonempty list of permutations of at least 3 points, got {H.shape}")
-    y = np.asarray(magnitudes, dtype=float)
-    require_finite(name, y)
+    y = require_real(name, magnitudes)
     if y.shape != (len(H),):
         raise ValueError("need one nonnegative magnitude per permutation")
     if (y < 0).any():
@@ -208,8 +208,7 @@ def conjugate_phase_reconstruct(moduli) -> np.ndarray:
     ValueError unless |D - D^T| and the diagonal are at most CONJUGATE_PR_RTOL * max(max D, 1),
     with no relative term; that sign is tested to CONJUGATE_PR_RTOL * max D.
     """
-    D = np.asarray(moduli, dtype=float)
-    require_finite("moduli", D)
+    D = require_real("moduli", moduli)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("moduli must form a square symmetric matrix")
     if (D < 0).any():
@@ -328,24 +327,31 @@ def verify_counterexample_n3() -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 # phase retrieval for 3-fold transitive permutation actions
 
-def _pair_sum_coefficients(psi0: np.ndarray, n: int):
-    """The order (i, j, k) of psi0's positions and the coefficients (alpha, beta, gamma, e,
-    kappa) of the closed form in :func:`three_transitive_phase_retrieval`, for the order that
-    maximizes min(n |Re gamma|, |kappa|).  InadmissibleGeneratorError if that or n |Im gamma|,
-    the same for all orders, is at most RANK_RTOL * n^2 ||psi0||^2."""
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _three_transitive_plan(n: int, psi0_bytes: bytes | None):
+    """For the last ``TABLE_CACHE_SIZE`` (n, psi0): psi0 read-only (None: the p=3 time-side
+    generator), the order (i, j, k) of its positions and the coefficients (alpha, beta, gamma, e,
+    kappa) of the closed form in :func:`three_transitive_phase_retrieval` for the order that
+    maximizes min(n |Re gamma|, |kappa|), and ||psi0||^2.  ValueError unless psi0 is zero-sum;
+    InadmissibleGeneratorError if that or n |Im gamma| (order-free) <= RANK_RTOL n^2 ||psi0||^2."""
+    psi0 = canonical_time_generator(3) if psi0_bytes is None else np.frombuffer(psi0_bytes, complex)
+    if abs(psi0.sum()) > ZERO_SUM_RTOL * np.linalg.norm(psi0):
+        raise ValueError("psi0 must be zero-sum")
+    psi0.setflags(write=False)
     orders = np.array(list(permutations(range(3))))
     a, b, e = np.abs(psi0[orders.T]) ** 2
     w = psi0[orders[:, 0]].conj() * psi0[orders[:, 1]]
     gamma, kappa = n * w + a + b, n * ((n - 2) * a - 2 * b - 2 * w.real)
     divisor = np.minimum(n * np.abs(gamma.real), np.abs(kappa))
-    x = int(divisor.argmax())
-    tol = RANK_RTOL * n * n * float(np.vdot(psi0, psi0).real)
+    x, norm2 = int(divisor.argmax()), float(np.vdot(psi0, psi0).real)
+    tol = RANK_RTOL * n * n * norm2
     for name, value in (("n |Im gamma|", n * abs(gamma[x].imag)),
                         ("min(n |Re gamma|, |kappa|)", divisor[x])):
         if value <= tol:
             raise InadmissibleGeneratorError(f"psi0 fails condition {name} > RANK_RTOL * n^2 "
                                              f"||psi0||^2 = {tol:.3e}: it is {value:.3e}")
-    return orders[x], ((n - 1) * a[x] - b[x], (n - 1) * b[x] - a[x], gamma[x], e[x], kappa[x])
+    coefficients = ((n - 1) * a[x] - b[x], (n - 1) * b[x] - a[x], gamma[x], e[x], kappa[x])
+    return psi0, tuple(orders[x].tolist()), coefficients, norm2
 
 
 def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarray:
@@ -361,18 +367,19 @@ def three_transitive_phase_retrieval(measurements, perms, psi0=None) -> np.ndarr
     alpha X(u,u) + beta X(v,v) + gamma X(u,v) + conj(gamma) X(v,u) + e tr X.  Summed over all
     (u, v) they give tr X, over v the diagonal, and S(u, v) with S(v, u) the rest.  f is read
     off as in recover_vector; InconsistentDataError if its forward residual > RANK_ONE_RTOL.
+    With the plan of (n, psi0) cached, a call on N rows takes O(N n log n + n^3) time, O(N n + n^3) memory.
     """
     H, y, n = _rows_and_magnitudes("measurements", measurements, perms)
     code, count = _cover(H, (0, 1, 2))
-    psi0 = require_finite("psi0", canonical_time_generator(3) if psi0 is None else psi0)
-    if psi0.shape != (3,):
-        raise ValueError("psi0 must be a vector on 3 points")
-    if abs(psi0.sum()) > ZERO_SUM_RTOL * np.linalg.norm(psi0):
-        raise ValueError("psi0 must be zero-sum")
-    (i, j, k), (alpha, beta, gamma, e, kappa) = _pair_sum_coefficients(psi0, n)
+    if psi0 is not None:
+        psi0 = require_finite("psi0", psi0)
+        if psi0.shape != (3,):
+            raise ValueError("psi0 must be a vector on 3 points")
+    psi0, (i, j, k), (alpha, beta, gamma, e, kappa), norm2 = _three_transitive_plan(
+        n, None if psi0 is None else psi0.tobytes())
     M = (np.bincount(code, y * y, n**3) / np.maximum(count, 1)).reshape(n, n, n)
     S = M.sum(axis=k) if i < j else M.sum(axis=k).T
-    tr = S.sum() / (n * (n - 2) * np.vdot(psi0, psi0).real)
+    tr = S.sum() / (n * (n - 2) * norm2)
     d = (S.sum(axis=1) - (beta + (n - 1) * e) * tr) / kappa
     R = S - alpha * d[:, None] - beta * d - e * tr
     X = (gamma * R - gamma.conjugate() * R.T) / (gamma**2 - gamma.conjugate() ** 2)
@@ -443,27 +450,33 @@ def frequency_deleted_moduli(f, p: int) -> np.ndarray:
     return np.abs(np.fft.ifft(gh, axis=1, norm="ortho"))
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _projection_generator(p: int) -> np.ndarray:
+    """Read-only, for the last ``TABLE_CACHE_SIZE`` p: canonical_time_generator(p)'s DFT on {1..p-1}."""
+    phi = np.fft.fft(canonical_time_generator(p), norm="ortho")[1:]
+    phi.setflags(write=False)
+    return phi
+
+
 def recover_from_projection_moduli(moduli, p: int) -> np.ndarray:
     """Recover a zero-sum f on Z_p (up to phase) from the moduli of all its
     frequency-deleted copies.
 
     The l-th line of affine frame coefficients for the canonical time-side
     generator equals the frequency-deleted copy P_{l^-1} f, so the moduli
-    feed directly into the matrix-recovery pipeline on the Fourier side.
+    feed directly into the matrix-recovery pipeline on the Fourier side.  With the plans
+    of p cached, a call costs O(p^2 log p) time (O(p^3) up to DFT_PRODUCT_MAX_P), O(p^2) memory.
     """
     p = validate_prime(p)
     if p < 5:
         raise ValueError("frequency-deletion retrieval needs p >= 5")
-    moduli = np.asarray(moduli, dtype=float)
-    require_finite("moduli", moduli)
+    moduli = require_real("moduli", moduli)
     if moduli.shape != (p - 1, p):
         raise ValueError(f"expected a (p-1) x p moduli table, got {moduli.shape}")
     if (moduli < 0).any():
         raise ValueError(f"moduli entry {tuple(np.argwhere(moduli < 0)[0].tolist())} is negative")
-    psi = canonical_time_generator(p)
-    phi = np.fft.fft(psi, norm="ortho")[1:]
     F = (moduli[inverse_table(p)[1:] - 1] ** 2).reshape(-1)  # line l is |P_{l^-1} f|^2
-    fhat0 = recovery.recover_vector(F, phi, p)
+    fhat0 = recovery.recover_vector(F, _projection_generator(p), p)
     return canonical_phase(np.fft.ifft(np.concatenate([[0.0], fhat0]), norm="ortho"))
 
 

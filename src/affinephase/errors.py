@@ -1,4 +1,4 @@
-"""Shared exception types, the tolerances and size limits, and the finiteness check.
+"""Shared exception types, the tolerances and size limits, and the finite and real checks.
 
 ValueError subclasses signal invalid inputs (CLI exit code 2);
 InconsistentDataError signals a numerical failure on structurally valid
@@ -39,7 +39,8 @@ PAULI_MATCH_RTOL = 1e-10
 #: phi, c_phi, B_phi, the left inverse W of B_phi and the step-1 kernel K, 48 (p-1)^2 bytes
 #: (~294 MB at p = 2477), and once asked for, the left null vector u of B_phi, 16 (p-1) bytes.
 #: A cached Heisenberg plan holds one complex n x n table, 16 n^2 bytes, and each cached n its
-#: three intp gathers, 24 n^2 bytes: 100 and 150 MB at n = 2500.  Checked before any primality test.
+#: three intp gathers, 24 n^2 bytes: 100 and 150 MB at n = 2500.  A 3-transitive plan holds psi0
+#: and nine scalars, a projection plan phi, 16 (p-1) bytes.  Checked before any primality test.
 MAX_SIZE = 2500
 
 #: How many moduli (and generators) keep their read-only tables between calls (least
@@ -56,6 +57,16 @@ def require_finite(name: str, a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     return a
+
+
+def require_real(name: str, a) -> np.ndarray:
+    """``a`` as a float array; ValueError naming it if an entry is NaN or inf, or if an
+    imaginary part is nonzero (zero ones are dropped without a warning)."""
+    a = np.asarray(a)
+    require_finite(name, a)
+    if a.dtype.kind == "c" and a.imag.any():
+        raise ValueError(f"{name} must be real, but an imaginary part is nonzero")
+    return np.asarray(a.real, dtype=float)
 
 
 class InadmissibleGeneratorError(ValueError):

@@ -9,8 +9,9 @@ import pytest
 from affinephase.diagnostics import (
     _affine_coefficients,
     _cover,
-    _pair_sum_coefficients,
     _permutation_rows,
+    _projection_generator,
+    _three_transitive_plan,
     complement_property,
     conjugate_phase_reconstruct,
     difference_coefficients,
@@ -23,8 +24,8 @@ from affinephase.diagnostics import (
     three_transitive_phase_retrieval,
     verify_counterexample_n3,
 )
-from affinephase.errors import InadmissibleGeneratorError, InconsistentDataError
-from affinephase.recovery import canonical_phase, canonical_time_generator, phase_distance
+from affinephase.errors import TABLE_CACHE_SIZE, InadmissibleGeneratorError, InconsistentDataError
+from affinephase.recovery import _generator_plan, canonical_phase, canonical_time_generator, phase_distance
 from affinephase.reference import dft_matrix, enumerate_group, pi_matrix
 
 RNG = np.random.default_rng(20240817)
@@ -651,9 +652,8 @@ def test_three_transitive_with_one_vanishing_fourier_coefficient(n):
 
 
 def test_three_transitive_canonical_generator_clears_every_divisor():
-    psi0 = canonical_time_generator(3)
     for n in range(3, 61):
-        _pair_sum_coefficients(psi0, n)  # raises InadmissibleGeneratorError otherwise
+        _three_transitive_plan(n, None)  # raises InadmissibleGeneratorError otherwise
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -667,6 +667,68 @@ def test_three_transitive_requires_zero_sum_generator():
     S4 = list(permutations(range(4)))
     with pytest.raises(ValueError, match="zero-sum"):
         three_transitive_phase_retrieval(np.zeros(24), S4, psi0=np.ones(3))
+
+
+def test_three_transitive_and_projection_plans_are_bounded_and_read_only():
+    for cache in (_three_transitive_plan, _projection_generator):
+        assert cache.cache_info().maxsize == TABLE_CACHE_SIZE
+    psi0, order, _, norm2 = _three_transitive_plan(5, None)
+    assert np.array_equal(psi0, canonical_time_generator(3)) and sorted(order) == [0, 1, 2]
+    assert norm2 == np.vdot(psi0, psi0).real
+    p = 13
+    phi = _projection_generator(p)
+    assert np.array_equal(phi, np.fft.fft(canonical_time_generator(p), norm="ortho")[1:])
+    for a in (psi0, _three_transitive_plan(5, rand_zero_sum(3).tobytes())[0], phi):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_equal_psi0_shares_its_plan_and_one_changed_in_place_gets_a_new_one():
+    S5 = list(permutations(range(5)))
+    psi0, f = rand_zero_sum(3), rand_zero_sum(5)
+    meas = measurements_for(f, S5, psi0)
+    first = three_transitive_phase_retrieval(meas, S5, psi0)
+    info = _three_transitive_plan.cache_info()
+    assert three_transitive_phase_retrieval(meas, S5, psi0.copy()).tobytes() == first.tobytes()
+    assert _three_transitive_plan.cache_info().misses == info.misses
+    psi0[0] += 1.0  # still zero-sum
+    psi0[1] -= 1.0
+    g = three_transitive_phase_retrieval(measurements_for(f, S5, psi0), S5, psi0)
+    assert _three_transitive_plan.cache_info().misses == info.misses + 1
+    assert phase_distance(g, f) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("psi0, error, message", [
+    ([np.inf, 1.0, -1.0], ValueError, "psi0 has a non-finite entry"),
+    (np.zeros((3, 1)), ValueError, "psi0 must be a vector on 3 points"),
+    (np.ones(3), ValueError, "psi0 must be zero-sum"),
+    ([1.0, -1.0, 0.0], InadmissibleGeneratorError, "psi0 fails condition"),
+])
+def test_a_bad_psi0_raises_the_same_error_on_every_call(psi0, error, message):
+    # lru_cache stores no exception, so the plan is tried, and refused, again
+    S4 = list(permutations(range(4)))
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            three_transitive_phase_retrieval(np.ones(24), S4, psi0=psi0)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0][0] is error and raised[0][1].startswith(message) and raised == raised[:1] * 3
+
+
+@pytest.mark.parametrize("group", ["S4", "S5", "PGL(2,7)"])
+def test_three_transitive_cold_output_equals_warm_bit_for_bit(group):
+    perms = {"S4": list(permutations(range(4))), "S5": list(permutations(range(5))),
+             "PGL(2,7)": pgl2(7)}[group]
+    f = rand_zero_sum(len(perms[0]))
+    for psi0 in (None, rand_zero_sum(3)):
+        meas = measurements_for(f, perms, canonical_time_generator(3) if psi0 is None else psi0)
+        _three_transitive_plan.cache_clear()
+        cold = three_transitive_phase_retrieval(meas, perms, psi0)
+        warm = three_transitive_phase_retrieval(meas, perms, psi0)
+        assert _three_transitive_plan.cache_info().hits == 1
+        assert cold.tobytes() == warm.tobytes()
+        assert phase_distance(cold, f) <= 1e-12 * np.linalg.norm(f)
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +793,28 @@ def test_recover_from_projection_moduli_rejects_negative_moduli():
         recover_from_projection_moduli(moduli, p)
 
 
+@pytest.mark.parametrize("p", [5, 13, 61])
+def test_projection_cold_output_equals_warm_bit_for_bit(p):
+    f = rand_zero_sum(p)
+    moduli = frequency_deleted_moduli(f, p)
+    _projection_generator.cache_clear()
+    _generator_plan.cache_clear()
+    cold = recover_from_projection_moduli(moduli, p)
+    warm = recover_from_projection_moduli(moduli, p)
+    assert _projection_generator.cache_info().hits == 1
+    assert cold.tobytes() == warm.tobytes()
+    assert phase_distance(cold, canonical_phase(f)) <= 1e-8
+
+
+def test_numpy_integer_modulus_shares_the_projection_plan():
+    p = 13
+    moduli = frequency_deleted_moduli(rand_zero_sum(p), p)
+    g = recover_from_projection_moduli(moduli, p)
+    misses = _projection_generator.cache_info().misses
+    assert recover_from_projection_moduli(moduli, np.int64(p)).tobytes() == g.tobytes()
+    assert _projection_generator.cache_info().misses == misses
+
+
 def _with(a, index, value):
     a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     a[index] = value
@@ -773,3 +857,38 @@ def test_non_finite_input_is_rejected_naming_the_argument(entry):
     name, call = NON_FINITE_CALLS[entry]
     with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
         call()
+
+
+def pairwise_moduli(f):
+    return np.abs(f[:, None] - f)
+
+
+# the argument that must be real, how to make its data, and the call that reads it
+REAL_CALLS = {
+    "three_transitive_phase_retrieval": (
+        "measurements", lambda: measurements_for(rand_zero_sum(4), S4, canonical_time_generator(3)),
+        lambda y: three_transitive_phase_retrieval(y, S4)),
+    "difference_phase_retrieval": (
+        "magnitudes", lambda: np.abs(difference_coefficients(rand_zero_sum(4), 0, 1, S4)),
+        lambda y: difference_phase_retrieval(y, S4)),
+    "conjugate_phase_reconstruct": (
+        "moduli", lambda: pairwise_moduli(rand_zero_sum(4)), conjugate_phase_reconstruct),
+    "recover_from_projection_moduli": (
+        "moduli", lambda: frequency_deleted_moduli(rand_zero_sum(5), 5),
+        lambda m: recover_from_projection_moduli(m, 5)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_CALLS))
+def test_complex_data_is_read_as_real_only_when_every_imaginary_part_is_zero(entry):
+    # warnings are errors in this suite, so a ComplexWarning on the zero-imaginary input fails
+    name, make, call = REAL_CALLS[entry]
+    data = make()
+    want = call(data).tobytes()
+    assert call(data + 0j).tobytes() == want
+    assert call((data + 0j).tolist()).tobytes() == want
+    bad = data + 0j
+    bad.flat[1] += 0.3j
+    for arg in (bad, bad.tolist()):
+        with pytest.raises(ValueError, match=f"^{name} must be real, but an imaginary part is nonzero"):
+            call(arg)
