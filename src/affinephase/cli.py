@@ -26,7 +26,7 @@ import numpy as np
 
 from . import diagnostics, heisenberg, recovery
 from .affine import ENUMERATION_ORDER_TAG
-from .errors import InconsistentDataError
+from .errors import BENCH_RTOL, InconsistentDataError
 from .primefield import validate_prime
 
 EXIT_OK = 0
@@ -328,8 +328,9 @@ def _cmd_bench(args) -> int:
         Arec = recovery.recover_matrix(F, phi, p)
         t2 = time.perf_counter()
         err = float(np.linalg.norm(Arec - A) / np.linalg.norm(A))
-        if err > 1e-9:
-            raise InconsistentDataError(f"bench round trip at p={p} exceeded 1e-9: {err:.3e}")
+        if err > BENCH_RTOL:
+            bound = np.format_float_scientific(BENCH_RTOL, trim="-", exp_digits=1)
+            raise InconsistentDataError(f"bench round trip at p={p} exceeded {bound}: {err:.3e}")
         rows.append({"p": p, "forward_seconds": t1 - t0, "recover_seconds": t2 - t1,
                      "max_relative_error": err})
     _emit({"seed": 0, "results": rows})

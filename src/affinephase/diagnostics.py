@@ -24,8 +24,9 @@ from math import comb, perm
 import numpy as np
 
 from . import recovery
-from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, PAULI_MATCH_RTOL, RANK_RTOL, TABLE_CACHE_SIZE,
-                     ZERO_SUM_RTOL, InadmissibleGeneratorError, require_finite, require_real)
+from .errors import (COLLINEAR_RTOL, CONJUGATE_PR_RTOL, COUNTEREXAMPLE_ATOL, COUNTEREXAMPLE_GAP,
+                     PAULI_MATCH_RTOL, RANK_RTOL, TABLE_CACHE_SIZE, ZERO_SUM_RTOL,
+                     InadmissibleGeneratorError, require_finite, require_real)
 from .group_fourier import _frame_coefficients
 from .primefield import inverse_table, validate_prime
 from .recovery import canonical_phase, canonical_time_generator
@@ -285,7 +286,7 @@ def verify_counterexample_n3() -> CounterexampleReport:
     a = 2 * abs(1 - xi)
     b = abs(1 - xi)
 
-    zero_sums_ok = bool(abs(y.sum()) < 1e-12 and abs(z.sum()) < 1e-12)
+    zero_sums_ok = bool(abs(y.sum()) < COUNTEREXAMPLE_ATOL and abs(z.sum()) < COUNTEREXAMPLE_ATOL)
 
     # |y_l - y_k|^2 + a^2 = |z_l - z_k|^2 + b^2 and the matching real parts
     err = 0.0
@@ -293,12 +294,12 @@ def verify_counterexample_n3() -> CounterexampleReport:
         dy, dz = y[l] - y[k], z[l] - z[k]
         err = max(err, abs((abs(dy) ** 2 + a**2) - (abs(dz) ** 2 + b**2)),
                   abs((np.conj(a) * dy).real - (np.conj(b) * dz).real))
-    identities_ok = err < 1e-12
+    identities_ok = err < COUNTEREXAMPLE_ATOL
 
     # no single unit scalar (with or without conjugation) maps (y, a) to (z, b)
     norm_ratio = float(np.linalg.norm(z) / np.linalg.norm(y))
     mod_ratio = float(b / a)
-    inequivalent = abs(norm_ratio - mod_ratio) > 1e-9
+    inequivalent = abs(norm_ratio - mod_ratio) > COUNTEREXAMPLE_GAP
 
     # second counterexample: the constant vector c * 1 shares all frame
     # coefficient moduli with y; the correct scaling follows from <1, psi_1>
@@ -308,7 +309,7 @@ def verify_counterexample_n3() -> CounterexampleReport:
     # frame vector of h: (Pi(h) psi_1)(m) = psi_1(h^-1(m)), and argsort inverts h
     frame = psi1[np.argsort(list(permutations(range(3))), axis=1)]
     cerr = float(np.max(np.abs(np.abs(frame @ np.stack([y, w], axis=1)) - abs(1 - xi))))
-    coincidence_ok = cerr < 1e-12
+    coincidence_ok = cerr < COUNTEREXAMPLE_ATOL
 
     return CounterexampleReport(
         zero_sums_ok=zero_sums_ok,
@@ -320,7 +321,7 @@ def verify_counterexample_n3() -> CounterexampleReport:
         coincidence_max_error=float(cerr),
         coincidence_ok=bool(coincidence_ok),
         matching_constant="|1-xi|/sqrt(3)",
-        orthogonal_to_y=bool(abs(np.vdot(w, y)) < 1e-12),
+        orthogonal_to_y=bool(abs(np.vdot(w, y)) < COUNTEREXAMPLE_ATOL),
     )
 
 

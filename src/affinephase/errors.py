@@ -29,6 +29,11 @@ COLLINEAR_RTOL = 1e-12
 ZERO_SUM_RTOL = 1e-10
 #: Pauli pairs: two coefficient moduli match within this * the largest coefficient modulus.
 PAULI_MATCH_RTOL = 1e-10
+#: verify_counterexample_n3, on numbers of order 1: an identity holds if its error is below the
+#: first; the configurations are inequivalent if their two ratios differ by more than the second.
+COUNTEREXAMPLE_ATOL, COUNTEREXAMPLE_GAP = 1e-12, 1e-9
+#: ``affinephase bench`` fails (exit code 3) when a round trip's relative error exceeds this.
+BENCH_RTOL = 1e-9
 
 #: The largest modulus p (or Heisenberg size n) accepted.  The affine round trip
 #: holds about nine complex p x p arrays at its peak, 9 * 16 * p^2 bytes, which
@@ -52,18 +57,21 @@ DFT_PRODUCT_MAX_P = 101
 
 
 def require_finite(name: str, a) -> np.ndarray:
-    """``a`` as a complex array; ValueError naming it if an entry is NaN or inf."""
-    a = np.asarray(a, dtype=complex)
+    """``a`` as a complex array; ValueError naming it unless it is an array of finite numbers."""
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be an array of numbers ({err})") from err
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     return a
 
 
 def require_real(name: str, a) -> np.ndarray:
-    """``a`` as a float array; ValueError naming it if an entry is NaN or inf, or if an
+    """``a`` as a float array; ValueError naming it as :func:`require_finite` does, or if an
     imaginary part is nonzero (zero ones are dropped without a warning)."""
-    a = np.asarray(a)
     require_finite(name, a)
+    a = np.asarray(a)
     if a.dtype.kind == "c" and a.imag.any():
         raise ValueError(f"{name} must be real, but an imaginary part is nonzero")
     return np.asarray(a.real, dtype=float)

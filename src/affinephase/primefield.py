@@ -16,18 +16,7 @@ from .errors import MAX_SIZE
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == {n}
 
 
 def validate_prime(p: int) -> int:

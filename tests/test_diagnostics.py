@@ -25,7 +25,10 @@ from affinephase.diagnostics import (
     verify_counterexample_n3,
 )
 from affinephase.errors import TABLE_CACHE_SIZE, InadmissibleGeneratorError, InconsistentDataError
-from affinephase.recovery import _generator_plan, canonical_phase, canonical_time_generator, phase_distance
+from affinephase.heisenberg import h_forward
+from affinephase.recovery import (_generator_plan, canonical_generator, canonical_phase,
+                                  canonical_time_generator, forward_measure, phase_distance,
+                                  recover_vector)
 from affinephase.reference import dft_matrix, enumerate_group, pi_matrix
 
 RNG = np.random.default_rng(20240817)
@@ -716,10 +719,10 @@ def test_a_bad_psi0_raises_the_same_error_on_every_call(psi0, error, message):
     assert raised[0][0] is error and raised[0][1].startswith(message) and raised == raised[:1] * 3
 
 
-@pytest.mark.parametrize("group", ["S4", "S5", "PGL(2,7)"])
+@pytest.mark.parametrize("group", ["S4", "S5", "PGL(2,7)", "PGL(2,13) tuples"])
 def test_three_transitive_cold_output_equals_warm_bit_for_bit(group):
     perms = {"S4": list(permutations(range(4))), "S5": list(permutations(range(5))),
-             "PGL(2,7)": pgl2(7)}[group]
+             "PGL(2,7)": pgl2(7), "PGL(2,13) tuples": list(map(tuple, pgl2(13).tolist()))}[group]
     f = rand_zero_sum(len(perms[0]))
     for psi0 in (None, rand_zero_sum(3)):
         meas = measurements_for(f, perms, canonical_time_generator(3) if psi0 is None else psi0)
@@ -857,6 +860,25 @@ def test_non_finite_input_is_rejected_naming_the_argument(entry):
     name, call = NON_FINITE_CALLS[entry]
     with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
         call()
+
+
+# the argument each call converts first, and the call with that argument given
+NON_NUMERIC_CALLS = {
+    "forward_measure": ("A", lambda x: forward_measure(x, canonical_generator(5), 5)),
+    "recover_vector": ("F", lambda x: recover_vector(x, canonical_generator(5), 5)),
+    "h_forward": ("A", lambda x: h_forward(x, np.ones(4))),
+    "conjugate_phase_reconstruct": ("moduli", conjugate_phase_reconstruct),
+    "three_transitive_phase_retrieval": (
+        "measurements", lambda x: three_transitive_phase_retrieval(x, S4)),
+}
+
+
+@pytest.mark.parametrize("bad", [["a"], {"a": 1}, [[1.0, 2.0], [3.0]]], ids=["string", "dict", "ragged"])
+@pytest.mark.parametrize("entry", sorted(NON_NUMERIC_CALLS))
+def test_non_numeric_input_is_rejected_naming_the_argument(entry, bad):
+    name, call = NON_NUMERIC_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an array of numbers"):
+        call(bad)
 
 
 def pairwise_moduli(f):
